@@ -93,16 +93,28 @@ int main(int argc, char** argv) {
   opts.threads = 1;
   Context ctx(opts);
 
+  // Every call must succeed, or the timings would cover partial GEMMs.
+  Status failure;
+  const auto run_stream = [&] {
+    for (auto& w : stream) {
+      const Status s =
+          ctx.run_const_b(w.a.view(), w.b.view(), w.c.view(), overwrite);
+      if (!s.ok()) failure = s;
+    }
+  };
+
   common::Timer t_cold;
-  for (auto& w : stream)
-    ctx.gemm_const_b(w.a.view(), w.b.view(), w.c.view(), overwrite);
+  run_stream();
   const double cold_seconds = t_cold.seconds();
 
   common::Timer t_warm;
-  for (int r = 0; r < rounds; ++r)
-    for (auto& w : stream)
-      ctx.gemm_const_b(w.a.view(), w.b.view(), w.c.view(), overwrite);
+  for (int r = 0; r < rounds; ++r) run_stream();
   const double warm_seconds = t_warm.seconds();
+  if (!failure.ok()) {
+    std::fprintf(stderr, "bench_context_cache: %s\n",
+                 failure.to_string().c_str());
+    return 1;
+  }
 
   const auto stats = ctx.stats();
   const int calls = rounds * static_cast<int>(stream.size());

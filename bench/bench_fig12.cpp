@@ -6,6 +6,7 @@
 #include "baselines/library_zoo.hpp"
 #include "baselines/pricer.hpp"
 #include "bench_util.hpp"
+#include "core/context.hpp"
 #include "dnn/graph.hpp"
 #include "dnn/models.hpp"
 #include "dnn/shapes.hpp"
@@ -57,9 +58,13 @@ int main() {
   bench::subheader("host demo: real graph executor wall-clock split");
   dnn::Net net = dnn::build_resnet_stem();
   const dnn::Tensor input = dnn::resnet_stem_input();
-  (void)net.run(input, dnn::autogemm_backend());  // plan warm-up (AOT step)
+  ContextOptions serial;
+  serial.threads = 1;  // same execution resources as the baseline backend
+  Context ctx(serial);
+  const dnn::GemmBackend autogemm_gemm = dnn::context_backend(ctx);
+  (void)net.run(input, autogemm_gemm);  // plan warm-up (AOT step)
   const auto with_openblas = net.run(input, dnn::openblas_backend());
-  const auto with_autogemm = net.run(input, dnn::autogemm_backend());
+  const auto with_autogemm = net.run(input, autogemm_gemm);
   std::printf("ResNet stem (L1..L5 shapes) on this host:\n");
   std::printf("  OpenBLAS-backend: gemm %.3fs other %.3fs\n",
               with_openblas.gemm_seconds, with_openblas.other_seconds);

@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/context.hpp"
-#include "core/gemm.hpp"
 
 int main() {
   using namespace autogemm;
@@ -22,44 +21,47 @@ int main() {
   common::fill_random(a.view(), 1);
   common::fill_random(b.view(), 2);
 
-  // One-shot convenience call: C += A * B with a heuristic plan.
-  gemm(a.view(), b.view(), c.view());
+  // The one entry point: a Context caches a plan per shape (and packed
+  // constant operands), owns the thread pool, and returns every failure as
+  // a Status. GemmExParams carries the BLAS-style transposes, alpha and
+  // beta; the default (beta = 1) accumulates, beta = 0 overwrites C.
+  Context ctx;
+  GemmExParams overwrite;
+  overwrite.beta = 0.0f;  // C = A * B
+  const Status s = ctx.run(a.view(), b.view(), c.view(), overwrite);
+  if (!s.ok()) {
+    std::fprintf(stderr, "gemm failed: %s\n", s.to_string().c_str());
+    return 1;
+  }
 
   // Verify against the double-precision reference.
   common::reference_gemm(a.view(), b.view(), c_ref.view());
   std::printf("max relative error vs reference: %.2e\n",
               common::max_rel_error(c.view(), c_ref.view()));
 
-  // For repeated calls on one shape, build a Plan once and reuse it. Plans
-  // fix the Table III parameters: cache blocking, loop order, packing, and
-  // the dynamic micro-tiling of every cache block.
-  Plan plan(m, n, k, default_config(m, n, k));
-  std::printf("plan: mc=%d nc=%d kc=%d loop=%s packing=%d, projected %.0f "
-              "model cycles\n",
-              plan.config().mc, plan.config().nc, plan.config().kc,
-              loop_order_name(plan.config().loop_order),
-              static_cast<int>(plan.config().packing),
-              plan.projected_cycles());
-
+  // Repeated calls on the shape hit the cached plan.
   const int reps = 20;
   common::Timer timer;
-  for (int i = 0; i < reps; ++i) gemm(a.view(), b.view(), c.view(), plan);
+  for (int i = 0; i < reps; ++i) {
+    if (!ctx.run(a.view(), b.view(), c.view(), overwrite).ok()) return 1;
+  }
   const double seconds = timer.seconds() / reps;
   std::printf("host: %.3f ms per call, %.2f GFLOPS\n", seconds * 1e3,
               common::gemm_flops(m, n, k) / seconds / 1e9);
 
-  // The serving-style API: a Context caches the plan per shape (and packed
-  // constant operands), owns the thread pool, and takes the BLAS-style
-  // extended parameters. This is the primary entry point; the free
-  // functions above are wrappers over a process-default context.
-  Context ctx;
-  GemmExParams overwrite;
-  overwrite.beta = 0.0f;  // C = A * B
-  ctx.gemm(a.view(), b.view(), c.view(), overwrite);
-  ctx.gemm(a.view(), b.view(), c.view(), overwrite);  // cached-plan hit
   const auto stats = ctx.stats();
-  std::printf("context: %llu plan hit(s), %llu miss(es) over 2 calls\n",
+  std::printf("context: %llu plan hit(s), %llu miss(es) over %d calls\n",
               static_cast<unsigned long long>(stats.plan_hits),
-              static_cast<unsigned long long>(stats.plan_misses));
+              static_cast<unsigned long long>(stats.plan_misses), reps + 1);
+
+  // The cached Plan fixes the Table III parameters: cache blocking, loop
+  // order, packing, and the dynamic micro-tiling of every cache block.
+  const auto plan = ctx.plan_for(m, n, k);
+  std::printf("plan: mc=%d nc=%d kc=%d loop=%s packing=%d, projected %.0f "
+              "model cycles\n",
+              plan->config().mc, plan->config().nc, plan->config().kc,
+              loop_order_name(plan->config().loop_order),
+              static_cast<int>(plan->config().packing),
+              plan->projected_cycles());
   return 0;
 }

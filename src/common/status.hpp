@@ -4,8 +4,9 @@
 // failures to be values it can branch on, not undefined behaviour or a
 // process abort. Every hardened entry point (Context::run, Plan::create,
 // PackedA/PackedB::create, sim::Interpreter::try_run, the tuning-record
-// I/O) reports through this type; the legacy void/throwing API survives as
-// thin wrappers (see core/context.hpp's last_error()).
+// I/O) reports through this type. Every GEMM entry point (the Context
+// run* family) returns the Status of its own call; sim:: keeps throwing
+// wrappers over try_run/simulate_checked for its offline callers.
 //
 // ## NaN/Inf policy
 //

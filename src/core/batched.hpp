@@ -1,4 +1,4 @@
-// Batched GEMM.
+// Batched GEMM: the batch member type and its validation.
 //
 // DL inference issues many small GEMMs per step (the paper's motivating
 // workload); batching lets the thread pool parallelize *across* problems
@@ -6,23 +6,20 @@
 // split on its own (single problems large enough in K go through the
 // k-split path instead; see core/gemm.hpp).
 //
-// Two callers share this path: dnn::graph batched model execution and the
-// serve engine's shape-bucketed dispatch (src/serve/). Both route through
-// Context::run_batched, which validates the whole batch (including
-// cross-member aliasing, via validate_batch below) before any C is
-// written and reports through Status instead of asserting.
+// Context::run_batched is the one batched entry point. dnn::graph batched
+// model execution and the serve engine's shape-bucketed dispatch
+// (src/serve/) both route through it; it validates the whole batch
+// (including cross-member aliasing, via validate_batch below) before any
+// C is written, honors per-shape quarantine and reference pins, and
+// reports through Status instead of asserting.
 #pragma once
 
 #include <vector>
 
 #include "common/matrix.hpp"
 #include "common/status.hpp"
-#include "common/threadpool.hpp"
-#include "core/plan.hpp"
 
 namespace autogemm {
-
-class Context;
 
 struct BatchItem {
   common::ConstMatrixView a;
@@ -64,25 +61,5 @@ Status validate_batch(const std::vector<BatchItem>& items);
 /// failing the whole batch. O(B log B) in the batch size.
 std::vector<std::size_t> find_cross_member_conflicts(
     const std::vector<BatchItem>& items);
-
-/// C_i += A_i * B_i for every item, all sharing one shape and plan.
-/// With a pool, items run concurrently (each C_i is written by exactly one
-/// worker).
-void gemm_batched(const std::vector<BatchItem>& items, const Plan& plan,
-                  common::ThreadPool* pool = nullptr);
-
-/// Mixed-shape batch resolved through `ctx`: each item's plan comes from
-/// the context's cache (tuned records, quarantine and stats all apply).
-/// `pool` defaults to the context's own pool; pass one explicitly to
-/// schedule on a different pool. Thin legacy wrapper — new code should
-/// call Context::run_batched, which adds whole-batch validation and
-/// Status reporting.
-void gemm_batched(const std::vector<BatchItem>& items, Context& ctx,
-                  common::ThreadPool* pool = nullptr);
-
-// The PR-3-era overload that resolved plans through the process-global
-// default_context() has been removed: it ignored the Context the caller
-// actually configured (tuned records, caches, health reporting). Call
-// gemm_batched(items, ctx, pool) or Context::run_batched instead.
 
 }  // namespace autogemm

@@ -19,7 +19,6 @@
 #include "quant/qgemm.hpp"
 #include "quant/qpacked.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/pipeline.hpp"
 
 namespace autogemm {
 
@@ -29,6 +28,8 @@ using common::ConstMatrixView;
 using common::MatrixView;
 
 constexpr std::size_t kMaxHealthEvents = 64;
+/// Depth (K) of the first-use verification probes.
+constexpr int kProbeKc = 8;
 
 tune::TuningRecords load_records_or_throw(const std::string& path,
                                           std::uint64_t* skipped) {
@@ -50,7 +51,6 @@ tune::TuningRecords load_records_or_throw(const std::string& path,
 ContextOptions sanitized(ContextOptions opts) {
   if (opts.plan_capacity == 0) opts.plan_capacity = 1;
   if (opts.packed_capacity == 0) opts.packed_capacity = 1;
-  if (opts.probe_kc < 1) opts.probe_kc = 1;
   return opts;
 }
 
@@ -456,57 +456,7 @@ const QuantShapeObs& quant_shape_obs(int m, int n, int k) {
   return it->second;
 }
 
-/// Per-thread last_error slots, keyed by context id. Thread-local (not
-/// guarded by mu_) so concurrent run* calls on different threads cannot
-/// clobber each other's error between a failing call and the query. Each
-/// thread's map registers itself in a process-wide registry so ~Context
-/// can sweep its id out of every live thread's map — without the sweep, a
-/// long-lived thread that churns contexts grows its map without bound
-/// (one dead slot per destroyed context that ever failed on it). The
-/// per-map mutex is only contended by that sweep; a thread's own
-/// reads/writes of its map are otherwise uncontended.
-///
-/// Lock order: registry mutex before any map mutex. Threads touching only
-/// their own map take just that map's mutex, so the sweep cannot deadlock
-/// with normal operation. Both registry statics are leaked on purpose:
-/// threads may still deregister during process teardown.
-struct ThreadErrorMap {
-  std::mutex mu;
-  std::map<std::uint64_t, Status> errors;
-};
-
-std::mutex& thread_error_registry_mu() {
-  static std::mutex& mu = *new std::mutex;
-  return mu;
-}
-
-std::set<ThreadErrorMap*>& thread_error_registry() {
-  static std::set<ThreadErrorMap*>& reg = *new std::set<ThreadErrorMap*>;
-  return reg;
-}
-
-ThreadErrorMap& thread_errors() {
-  struct Holder {
-    ThreadErrorMap map;
-    Holder() {
-      std::lock_guard lock(thread_error_registry_mu());
-      thread_error_registry().insert(&map);
-    }
-    ~Holder() {
-      std::lock_guard lock(thread_error_registry_mu());
-      thread_error_registry().erase(&map);
-    }
-  };
-  static thread_local Holder holder;
-  return holder.map;
-}
-
 }  // namespace
-
-std::uint64_t Context::next_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 Context::Context() : Context(ContextOptions{}) {}
 
@@ -523,9 +473,6 @@ Context::Context(const ContextOptions& opts)
   }
 }
 
-Context::Context(const std::string& records_path)
-    : Context(ContextOptions{.records_path = records_path}) {}
-
 Context::Context(tune::TuningRecords records, const ContextOptions& opts)
     : opts_(sanitized(opts)),
       backend_(backend::resolve_backend(opts.backend)),
@@ -533,28 +480,7 @@ Context::Context(tune::TuningRecords records, const ContextOptions& opts)
   if (opts_.trace) obs::set_trace_enabled(true);
 }
 
-Context::~Context() {
-  // Sweep this context's id out of every live thread's last_error slots:
-  // without this, threads that outlive a churn of contexts accumulate one
-  // dead Status per destroyed context forever.
-  std::lock_guard reg_lock(thread_error_registry_mu());
-  for (ThreadErrorMap* m : thread_error_registry()) {
-    std::lock_guard lock(m->mu);
-    m->errors.erase(id_);
-  }
-}
-
-std::size_t Context::thread_error_slots() {
-  std::lock_guard reg_lock(thread_error_registry_mu());
-  std::size_t total = 0;
-  for (ThreadErrorMap* m : thread_error_registry()) {
-    std::lock_guard lock(m->mu);
-    total += m->errors.size();
-  }
-  return total;
-}
-
-common::ThreadPool* Context::effective_pool() {
+common::ThreadPool* Context::pool() {
   if (opts_.threads == 1) return nullptr;
   if (pool_degraded_.load(std::memory_order_relaxed)) return nullptr;
   std::call_once(pool_once_, [this] {
@@ -575,8 +501,6 @@ common::ThreadPool* Context::effective_pool() {
   return pool_.get();
 }
 
-common::ThreadPool* Context::pool() { return effective_pool(); }
-
 void Context::record_event(HealthEvent::Kind kind, std::string detail) {
   // Degradation events are rare; the registry lookup's lock is fine here.
   obs::default_registry()
@@ -593,11 +517,6 @@ void Context::record_event(HealthEvent::Kind kind, std::string detail) {
 Status Context::record_error(Status s) {
   if (!s.ok()) {
     obs_handles().failures->add(1);
-    ThreadErrorMap& tm = thread_errors();
-    {
-      std::lock_guard lock(tm.mu);
-      tm.errors[id_] = s;
-    }
     std::lock_guard lock(mu_);
     health_.last_error = s;
   }
@@ -619,7 +538,7 @@ Status Context::verify_config(const Plan& plan) {
   const int bm = std::min(cfg.mc, plan.m());
   const int bn = std::min(cfg.nc, plan.n());
   const int bk = std::min(cfg.kc, plan.k());
-  const int kc = std::max(1, std::min(bk, opts_.probe_kc));
+  const int kc = std::max(1, std::min(bk, kProbeKc));
   const tiling::TilingResult& tiles = plan.block_tiling(bm, bn, bk);
   if (tiles.tiles.empty())
     return InternalError("probe: tiling produced no tiles for block " +
@@ -640,7 +559,7 @@ Status Context::verify_config(const Plan& plan) {
         vla ? be.tile_feasible(t.mr, t.nr)
             : (t.nr % lanes == 0 && codegen::tile_feasible(t.mr, t.nr, lanes));
     if (probeable) {
-      const long max_steps = std::max(1L, opts_.watchdog.probe_max_steps);
+      const long max_steps = std::max(1L, opts_.probe_max_steps);
       AUTOGEMM_RETURN_IF_ERROR(
           vla ? probe_generated_vla(be, t.mr, t.nr, kc, max_steps)
               : probe_generated(t.mr, t.nr, kc, lanes, max_steps));
@@ -755,7 +674,7 @@ Context::PlanEntry Context::entry_for(int m, int n, int k) {
       verified = verified_.count(ck) > 0;
     }
     if (quarantined) continue;
-    if (opts_.verify_kernels && !verified) {
+    if (!verified) {
       const Status v = verify_config(*plan);
       if (!v.ok()) {
         obs_handles().probe_failures->add(1);
@@ -815,8 +734,8 @@ Context::PlanEntry Context::entry_for(int m, int n, int k) {
 std::shared_ptr<const Plan> Context::plan_for(int m, int n, int k) {
   PlanEntry entry = entry_for(m, n, k);
   if (entry.plan != nullptr) return entry.plan;
-  // Reference-pinned shape: legacy callers still need a Plan object to
-  // hand to the free gemm() overloads; run() is where the pin is honored.
+  // Reference-pinned shape: hand out the heuristic plan; the run* entry
+  // points are where the pin is honored.
   return std::make_shared<const Plan>(m, n, k, default_config(m, n, k));
 }
 
@@ -880,7 +799,7 @@ Status Context::execute_entry_impl(const PlanEntry& entry, ConstMatrixView a,
     return Status::OK();
   }
   const Plan& plan = *entry.plan;
-  common::ThreadPool* pool = effective_pool();
+  common::ThreadPool* const pool = this->pool();
   const bool pooled = pool != nullptr && pool->size() > 1;
   const bool canonical = beta1_params.trans_a == Trans::kNo &&
                          beta1_params.trans_b == Trans::kNo &&
@@ -1124,21 +1043,6 @@ Status Context::run_const_b(ConstMatrixView a, ConstMatrixView b, MatrixView c,
       execute_entry(entry, a, b, c, beta1, nullptr, packed.get()));
 }
 
-void Context::gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                   const GemmExParams& params) {
-  (void)run(a, b, c, params);  // failures are queryable via last_error()
-}
-
-void Context::gemm_const_a(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                           const GemmExParams& params) {
-  (void)run_const_a(a, b, c, params);
-}
-
-void Context::gemm_const_b(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                           const GemmExParams& params) {
-  (void)run_const_b(a, b, c, params);
-}
-
 StatusOr<std::shared_ptr<const quant::QPackedB>> Context::qpacked_b_for(
     ConstMatrixView b) {
   const PackedKey key{b.data, b.rows, b.cols, b.ld, /*is_a=*/false,
@@ -1255,16 +1159,6 @@ Status Context::run_const_b_i8(ConstMatrixView a, ConstMatrixView b,
   return record_error(execute_quant(a, b, qb.get(), c, qopts));
 }
 
-void Context::gemm_i8(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                      float alpha, float beta) {
-  (void)run_i8(a, b, c, alpha, beta);
-}
-
-void Context::gemm_const_b_i8(ConstMatrixView a, ConstMatrixView b,
-                              MatrixView c, float alpha, float beta) {
-  (void)run_const_b_i8(a, b, c, alpha, beta);
-}
-
 Status Context::run_batched(const std::vector<BatchItem>& items) {
   return run_batched_impl(items, /*validate=*/true);
 }
@@ -1355,7 +1249,7 @@ Status Context::run_batched_impl(const std::vector<BatchItem>& items,
 
   const GemmExParams canonical{};
   Status result = Status::OK();
-  common::ThreadPool* p = effective_pool();
+  common::ThreadPool* p = pool();
   if (p != nullptr && p->size() > 1) {
     // Pooled: one flat work list so parallel_for spreads members across
     // workers regardless of group boundaries.
@@ -1452,10 +1346,6 @@ Status Context::run_batched_impl(const std::vector<BatchItem>& items,
   return record_error(result);
 }
 
-void Context::gemm_batched(const std::vector<BatchItem>& items) {
-  (void)run_batched(items);  // failures are queryable via last_error()
-}
-
 std::size_t Context::invalidate(const void* data) {
   std::lock_guard lock(mu_);
   std::size_t dropped = 0;
@@ -1545,13 +1435,6 @@ HealthReport Context::health() const {
   return r;
 }
 
-Status Context::last_error() const {
-  ThreadErrorMap& tm = thread_errors();
-  std::lock_guard lock(tm.mu);
-  const auto it = tm.errors.find(id_);
-  return it != tm.errors.end() ? it->second : Status::OK();
-}
-
 std::size_t Context::plan_cache_size() const {
   std::lock_guard lock(mu_);
   return plan_lru_.size();
@@ -1560,25 +1443,6 @@ std::size_t Context::plan_cache_size() const {
 std::size_t Context::packed_cache_size() const {
   std::lock_guard lock(mu_);
   return packed_lru_.size();
-}
-
-sim::SimOptions Context::pipeline_options() const {
-  sim::SimOptions o;
-  o.max_dynamic_instructions =
-      std::max(1L, opts_.watchdog.sim_max_dynamic_instructions);
-  o.max_cycles = opts_.watchdog.sim_max_cycles;
-  return o;
-}
-
-Context& default_context() {
-  // Serial so the free-function wrappers behave exactly like the
-  // pre-Context API (plan caching aside, which they already had).
-  static Context ctx([] {
-    ContextOptions opts;
-    opts.threads = 1;
-    return opts;
-  }());
-  return ctx;
 }
 
 void set_shape_label_cap(std::size_t cap) {

@@ -40,9 +40,8 @@
 //      exception quarantines the pool (subsequent calls run serial) and
 //      reports kInternal for the affected call.
 //
-// Everything the ladder does is observable through health(); the legacy
-// void API (Context::gemm and the free functions) wraps run() and records
-// failures in a queryable last_error() instead of throwing.
+// Every entry point returns the Status of its own call; everything the
+// ladder does is observable through health().
 //
 // Packed-operand caching is keyed by pointer identity: the cache cannot
 // see through the pointer, so callers that mutate or free a cached
@@ -78,31 +77,7 @@ class QPackedB;
 struct QGemmOptions;
 }  // namespace autogemm::quant
 
-namespace autogemm::sim {
-struct SimOptions;
-}  // namespace autogemm::sim
-
 namespace autogemm {
-
-/// Watchdog budgets for the simulation machinery a context drives. PR 2's
-/// anti-hang hardening introduced the budgets but hard-coded them; making
-/// them options lets the chaos harness tighten them at runtime (forcing
-/// kDeadlineExceeded probe outcomes and the quarantine ladder) without
-/// recompiling, and lets a paranoid embedder loosen them for giant tiles.
-struct WatchdogBudgets {
-  /// sim::Interpreter dynamic-instruction budget for each first-use
-  /// verification probe of a generated kernel (the only simulator the
-  /// execution path itself drives). A probe that exceeds it reports
-  /// kDeadlineExceeded and quarantines the config, exactly like a
-  /// miscompare.
-  long probe_max_steps = 2'000'000;
-  /// Budgets stamped into Context::pipeline_options() for callers that
-  /// price shapes through sim::simulate_checked under this context's
-  /// policy (the CLI and benches; the GEMM execution path never runs the
-  /// pipeline simulator).
-  long sim_max_dynamic_instructions = 20'000'000;
-  double sim_max_cycles = 0;  ///< 0 = unlimited
-};
 
 struct ContextOptions {
   /// Max distinct shapes whose Plans stay cached (LRU beyond that).
@@ -124,13 +99,6 @@ struct ContextOptions {
   /// choose_parallel_strategy picks per shape and pool size); any other
   /// value overrides every plan this context resolves.
   ParallelStrategy parallel_strategy = ParallelStrategy::kAuto;
-  /// First-use verification of each distinct GemmConfig against the
-  /// reference GEMM (the quarantine ladder above). Costs one tile-sized
-  /// probe per distinct config; disable only for benchmarking the
-  /// unhardened path.
-  bool verify_kernels = true;
-  /// Probe depth (K) for first-use verification.
-  int probe_kc = 8;
   /// Kernel backend every plan this context resolves is generated,
   /// verified and priced against. kAuto consults the AUTOGEMM_BACKEND
   /// environment variable, then falls back to the highest-priority
@@ -144,9 +112,11 @@ struct ContextOptions {
   /// global by design (traces interleave all contexts); a context never
   /// turns tracing *off* for others.
   bool trace = false;
-  /// Watchdog budgets (see WatchdogBudgets): interpreter probe step limit
-  /// and the pipeline-sim budgets pipeline_options() hands out.
-  WatchdogBudgets watchdog;
+  /// sim::Interpreter dynamic-instruction budget for each first-use
+  /// verification probe of a generated kernel. A probe that exceeds it
+  /// reports kDeadlineExceeded and quarantines the config, exactly like a
+  /// miscompare; the chaos harness tightens it to force that ladder.
+  long probe_max_steps = 2'000'000;
 };
 
 /// Monotonic cache counters (see Context::stats); the cache hit-rate bench
@@ -215,8 +185,8 @@ struct HealthReport {
   /// "blocks-only", "k-split", or "none" before any call ran (see the
   /// strategy_* counters in ContextStats for totals).
   std::string last_parallel_strategy = "none";
-  /// Most recent non-OK status any entry point reported (by any thread;
-  /// Context::last_error() is the per-thread view).
+  /// Most recent non-OK status any entry point reported, by any thread
+  /// (each caller also gets its own call's Status back).
   Status last_error;
   /// Bounded event log, oldest first (capped; counters stay exact).
   std::vector<HealthEvent> events;
@@ -225,14 +195,12 @@ struct HealthReport {
 class Context {
  public:
   Context();
-  explicit Context(const ContextOptions& opts);
-  /// Convenience: default options + tuned records loaded from `records_path`
-  /// (throws std::runtime_error if the file cannot be read; a *damaged* but
+  /// A non-empty opts.records_path loads tuned records from that file
+  /// (throws std::runtime_error if it cannot be read; a *damaged* but
   /// readable file loads its valid records and shows up in health()).
-  explicit Context(const std::string& records_path);
+  explicit Context(const ContextOptions& opts);
   /// Tuned records handed over directly (e.g. straight from a tuning run).
   explicit Context(tune::TuningRecords records, const ContextOptions& opts = {});
-  ~Context();
 
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
@@ -279,21 +247,6 @@ class Context {
                         common::MatrixView c, float alpha = 1.0f,
                         float beta = 1.0f);
 
-  /// Legacy void wrappers over the run* entry points: failures are
-  /// recorded in last_error() instead of thrown (C stays untouched on
-  /// validation failures).
-  void gemm(common::ConstMatrixView a, common::ConstMatrixView b,
-            common::MatrixView c, const GemmExParams& params = {});
-  void gemm_const_a(common::ConstMatrixView a, common::ConstMatrixView b,
-                    common::MatrixView c, const GemmExParams& params = {});
-  void gemm_const_b(common::ConstMatrixView a, common::ConstMatrixView b,
-                    common::MatrixView c, const GemmExParams& params = {});
-  void gemm_i8(common::ConstMatrixView a, common::ConstMatrixView b,
-               common::MatrixView c, float alpha = 1.0f, float beta = 1.0f);
-  void gemm_const_b_i8(common::ConstMatrixView a, common::ConstMatrixView b,
-                       common::MatrixView c, float alpha = 1.0f,
-                       float beta = 1.0f);
-
   /// C_i += A_i * B_i for every item through the cached per-shape plans
   /// and the owned pool. The whole batch is validated up front
   /// (per-member operands plus cross-member aliasing — see
@@ -318,20 +271,16 @@ class Context {
   /// — external callers should use run_batched.
   Status run_batched_prevalidated(const std::vector<BatchItem>& items);
 
-  /// Legacy void wrapper over run_batched (failures land in last_error(),
-  /// as with gemm()).
-  void gemm_batched(const std::vector<BatchItem>& items);
-
   /// Plan for a shape: tuned record (exact, then nearest) over the
   /// heuristic default, LRU-cached, quarantined configs skipped. Shared so
   /// a caller can keep executing a plan that gets evicted mid-flight. For
   /// a shape pinned to the reference path this still returns the heuristic
-  /// plan (legacy callers need one); run() is where the reference pin is
-  /// honored.
+  /// plan, for callers that price or inspect plans; only the run* entry
+  /// points honor the reference pin.
   std::shared_ptr<const Plan> plan_for(int m, int n, int k);
 
   /// Drops every cached packed operand built from `data` (call after
-  /// mutating or freeing a buffer previously passed to gemm_const_*).
+  /// mutating or freeing a buffer previously passed to run_const_*).
   /// Returns the number of entries dropped.
   std::size_t invalidate(const void* data);
 
@@ -378,32 +327,11 @@ class Context {
   ContextStats stats() const;
   /// Degradation snapshot (see HealthReport).
   HealthReport health() const;
-  /// Most recent non-OK status reported by an entry point *on the calling
-  /// thread* (OK if this thread has not had a failure) — the query channel
-  /// for the legacy void API. Per-thread on purpose: concurrent run* calls
-  /// from different threads cannot clobber each other's error between the
-  /// failing call and the query. The process-wide most-recent error is
-  /// health().last_error.
-  Status last_error() const;
 
   std::size_t plan_cache_size() const;
   std::size_t packed_cache_size() const;
-  /// Direct reference to the records table. Unsynchronized: publish_record
-  /// mutates the table under the context lock, so this reference is only
-  /// safe while no concurrent publisher (e.g. a running OnlineTuner) is
-  /// attached — use records_snapshot() otherwise.
-  const tune::TuningRecords& records() const { return records_; }
-  /// Total last_error slots currently held across every live thread's
-  /// per-thread map, for all contexts (test hook for the destructor sweep
-  /// that keeps context churn from growing the maps without bound).
-  static std::size_t thread_error_slots();
   /// The backend this context resolved at construction (never kAuto).
   backend::BackendId backend_id() const { return backend_; }
-  /// sim::SimOptions pre-filled with this context's watchdog budgets
-  /// (options().watchdog), for callers pricing shapes through
-  /// sim::simulate_checked under the context's policy. Other fields keep
-  /// their SimOptions defaults.
-  sim::SimOptions pipeline_options() const;
   const ContextOptions& options() const { return opts_; }
 
  private:
@@ -479,22 +407,17 @@ class Context {
   Status execute_quant(common::ConstMatrixView a, common::ConstMatrixView b,
                        const quant::QPackedB* qb, common::MatrixView c,
                        const quant::QGemmOptions& opts);
-  common::ThreadPool* effective_pool();
   void note_strategy(bool serial, ParallelStrategy chosen);
   void record_event(HealthEvent::Kind kind, std::string detail);
-  Status record_error(Status s);  // stores non-OK into last_error, passes through
-
-  /// Process-unique id keying this context's per-thread last_error slots.
-  static std::uint64_t next_id();
+  /// Counts a non-OK status into health().last_error and the failure
+  /// counter; passes it through.
+  Status record_error(Status s);
 
   const ContextOptions opts_;
   /// Resolved at construction from opts_.backend (kAuto -> env/registry).
   backend::BackendId backend_ = backend::BackendId::kNeon;
-  const std::uint64_t id_ = next_id();
   std::uint64_t records_skipped_ = 0;  // set before records_ loads
-  /// Mutated only by publish_record (under mu_); every read on the plan
-  /// resolution path also holds mu_. The records() accessor hands out an
-  /// unsynchronized reference — see its comment.
+  /// Mutated only by publish_record (under mu_); every read holds mu_.
   tune::TuningRecords records_;
 
   mutable std::mutex mu_;
@@ -517,11 +440,6 @@ class Context {
   std::once_flag pool_once_;
   std::unique_ptr<common::ThreadPool> pool_;
 };
-
-/// Process-wide context backing the free-function API. Deliberately
-/// serial (threads = 1) so the historical behavior of the free functions
-/// is preserved exactly; construct your own Context to opt into the pool.
-Context& default_context();
 
 /// Cardinality cap for the per-shape latency series
 /// (autogemm_gemm_seconds{shape="MxNxK"}): labels are assigned first-come-

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
-#include "core/context.hpp"
 #include "kernels/dispatch.hpp"
 #include "kernels/packing.hpp"
 #include "obs/trace.hpp"
@@ -450,16 +449,6 @@ void gemm(const PackedA& packed_a, ConstMatrixView a_shape, ConstMatrixView b,
           MatrixView c, const Plan& plan, common::ThreadPool* pool) {
   check_shapes(a_shape, b, c, plan);
   execute(a_shape, b, &packed_a, nullptr, c, plan, pool);
-}
-
-void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
-  default_context().gemm(a, b, c);
-}
-
-void gemm_overwrite(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
-  GemmExParams params;
-  params.beta = 0.0f;  // overwrite == the BLAS beta = 0 case, defined once
-  default_context().gemm(a, b, c, params);
 }
 
 namespace detail {

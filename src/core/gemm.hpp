@@ -1,4 +1,5 @@
-// autoGEMM free-function entry points.
+// Plan-level GEMM primitives: offline-packed operands and C += A * B
+// executed under an explicit Plan.
 //
 // ## Accumulate vs. overwrite — the one place these semantics are defined
 //
@@ -6,21 +7,17 @@
 //
 //     C = alpha * op(A) * op(B) + beta * C
 //
-// (see core/gemm_ex.hpp). The two common cases get names:
+// (see core/gemm_ex.hpp). The plan-level gemm() overloads below are the
+// alpha = 1, beta = 1 case (C += A * B). beta = 0 means C's prior
+// contents are ignored, never read — NaNs and uninitialized storage in C
+// are fine. Shapes: op(A) is M x K, op(B) is K x N, C is M x N, all
+// row-major views with arbitrary leading dimensions.
 //
-//   * `gemm(...)`            == alpha = 1, beta = 1:  C += A * B
-//   * `gemm_overwrite(...)`  == alpha = 1, beta = 0:  C  = A * B
-//
-// `gemm_overwrite` routes through the same beta handling as `gemm_ex`
-// (beta = 0 means C's prior contents are ignored, never read — NaNs and
-// uninitialized storage in C are fine). Shapes: op(A) is M x K, op(B) is
-// K x N, C is M x N, all row-major views with arbitrary leading dimensions.
-//
-// These free functions are thin wrappers over a process-wide
-// `autogemm::Context` (core/context.hpp), which is the primary API: it
-// caches one Plan per shape and packed constant operands across calls.
-// Construct your own Context to control cache sizes, threading, and tuned
-// parameter records.
+// `autogemm::Context` (core/context.hpp) is the primary API: its
+// Status-returning run* entry points validate operands, cache one Plan per
+// shape and packed constant operands across calls, and own the pool. The
+// primitives here trust their caller (shape mismatches throw
+// std::invalid_argument) and are what Context executes.
 #pragma once
 
 #include <vector>
@@ -111,15 +108,6 @@ void gemm(common::ConstMatrixView a, const PackedB& packed_b,
 void gemm(const PackedA& packed_a, common::ConstMatrixView a_shape,
           common::ConstMatrixView b, common::MatrixView c, const Plan& plan,
           common::ThreadPool* pool = nullptr);
-
-/// Convenience: C += A * B through the process-default Context (cached
-/// per-shape plan, serial execution).
-void gemm(common::ConstMatrixView a, common::ConstMatrixView b,
-          common::MatrixView c);
-
-/// Convenience: C = A * B (beta = 0; see the semantics note above).
-void gemm_overwrite(common::ConstMatrixView a, common::ConstMatrixView b,
-                    common::MatrixView c);
 
 namespace detail {
 

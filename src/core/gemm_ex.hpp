@@ -32,26 +32,6 @@ void gemm_ex(common::ConstMatrixView a, common::ConstMatrixView b,
              common::MatrixView c, const GemmExParams& params,
              const Plan& plan, common::ThreadPool* pool = nullptr);
 
-/// Convenience overload through the process-default Context (cached
-/// per-shape plan; see core/context.hpp).
-void gemm_ex(common::ConstMatrixView a, common::ConstMatrixView b,
-             common::MatrixView c, const GemmExParams& params = {});
-
-/// Row-major BLAS-compatible shim over gemm_ex — the canonical signature
-/// baseline comparisons and external callers bind against:
-///
-///   C = alpha * op(A) * op(B) + beta * C
-///
-/// `transa`/`transb` accept 'n'/'N' (identity) or 't'/'T' (transpose);
-/// anything else throws std::invalid_argument. op(A) is m x k, op(B) is
-/// k x n, C is m x n; lda/ldb/ldc are row-major leading dimensions of the
-/// *stored* operands (so with transa == 'T', a is k x m with lda >= m).
-/// Routed through the process-default Context, so repeated shapes reuse
-/// their cached Plan.
-void sgemm(char transa, char transb, int m, int n, int k, float alpha,
-           const float* a, int lda, const float* b, int ldb, float beta,
-           float* c, int ldc);
-
 namespace detail {
 /// Applies beta to C (beta = 0 stores zeros without reading C — the
 /// overwrite semantics documented in core/gemm.hpp). Shared by gemm_ex and

@@ -12,16 +12,8 @@
 #include "common/timer.hpp"
 #include "core/batched.hpp"
 #include "core/context.hpp"
-#include "core/gemm.hpp"
 
 namespace autogemm::dnn {
-
-GemmBackend autogemm_backend() {
-  return [](common::ConstMatrixView a, common::ConstMatrixView b,
-            common::MatrixView c) {
-    autogemm::gemm_overwrite(a, b, c);
-  };
-}
 
 GemmBackend openblas_backend() {
   return [](common::ConstMatrixView a, common::ConstMatrixView b,
@@ -38,9 +30,11 @@ GemmBackend context_backend(Context& ctx) {
                 common::MatrixView c) {
     // The executor's contract is overwrite (beta = 0). A is the layer's
     // weight matrix — constant across runs — so its packed form is cached.
+    // A failed GEMM leaves C unspecified, so it must not pass silently.
     GemmExParams params;
     params.beta = 0.0f;
-    ctx.gemm_const_a(a, b, c, params);
+    const Status s = ctx.run_const_a(a, b, c, params);
+    if (!s.ok()) throw std::runtime_error(s.to_string());
   };
 }
 

@@ -45,17 +45,18 @@ using GemmBackend =
     std::function<void(common::ConstMatrixView, common::ConstMatrixView,
                        common::MatrixView)>;
 
-/// A GEMM backend built on autogemm::gemm, and one on the OpenBLAS-style
-/// baseline — the two Fig 12 configurations.
-GemmBackend autogemm_backend();
+/// A GEMM backend on the OpenBLAS-style baseline (the other Fig 12
+/// configuration) and one on the naive triple loop (the oracle).
 GemmBackend openblas_backend();
 GemmBackend naive_backend();
 
-/// Backend over an autogemm::Context: every layer's constant weight matrix
-/// (the GEMM's left operand in conv-as-GEMM) keeps its offline-packed form
-/// cached in the context, so repeated inferences stop re-packing weights —
-/// the paper's ResNet-50 deployment mode. The context must outlive the
-/// backend, and its packed cache must be invalidated if weights mutate.
+/// The autoGEMM backend, over an autogemm::Context: every layer's constant
+/// weight matrix (the GEMM's left operand in conv-as-GEMM) keeps its
+/// offline-packed form cached in the context, so repeated inferences stop
+/// re-packing weights — the paper's ResNet-50 deployment mode. A GEMM
+/// that fails throws std::runtime_error carrying its Status. The context
+/// must outlive the backend, and its packed cache must be invalidated if
+/// weights mutate.
 GemmBackend context_backend(Context& ctx);
 
 class Op {

@@ -182,7 +182,7 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
     // Starve the verification probes' interpreter budget: every generated
     // config trips the watchdog, quarantines, and the ladder lands on a
     // lower tier — correctness must survive that too.
-    copts.watchdog.probe_max_steps = 64;
+    copts.probe_max_steps = 64;
   }
 
   EngineOptions eopts;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "common/matrix.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/rng.hpp"
@@ -40,8 +41,10 @@ TEST(Batched, SharedPlanSerial) {
         {problems.back()->a.view(), problems.back()->b.view(),
          problems.back()->c.view()});
   }
-  Plan plan(m, n, k, default_config(m, n, k));
-  gemm_batched(items, plan);
+  ContextOptions opts;
+  opts.threads = 1;
+  Context ctx(opts);
+  ASSERT_OK(ctx.run_batched(items));
   for (const auto& p : problems)
     EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()),
               testutil::gemm_tolerance(k));
@@ -57,9 +60,10 @@ TEST(Batched, SharedPlanPooled) {
         {problems.back()->a.view(), problems.back()->b.view(),
          problems.back()->c.view()});
   }
-  Plan plan(m, n, k, default_config(m, n, k));
-  common::ThreadPool pool(4);
-  gemm_batched(items, plan, &pool);
+  ContextOptions opts;
+  opts.threads = 4;
+  Context ctx(opts);
+  ASSERT_OK(ctx.run_batched(items));
   for (const auto& p : problems)
     EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()),
               testutil::gemm_tolerance(k));
@@ -75,15 +79,14 @@ TEST(Batched, MixedShapesThroughContext) {
   for (auto& p : problems)
     items.push_back({p->a.view(), p->b.view(), p->c.view()});
   ContextOptions opts;
-  opts.threads = 1;  // plans from this context; threading from the pool arg
+  opts.threads = 1;
   Context ctx(opts);
-  common::ThreadPool pool(3);
-  gemm_batched(items, ctx, &pool);
+  ASSERT_OK(ctx.run_batched(items));
   for (const auto& p : problems)
     EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()),
               testutil::gemm_tolerance(p->a.cols()));
-  // The plans really came from this context, not the process-global one:
-  // three distinct shapes -> three misses in *its* cache.
+  // Plans come from this context's cache: three distinct shapes -> three
+  // misses.
   EXPECT_EQ(ctx.stats().plan_misses, 3u);
 }
 
@@ -95,9 +98,9 @@ TEST(Batched, ContextOverloadUsesOwnPool) {
   for (auto& p : problems)
     items.push_back({p->a.view(), p->b.view(), p->c.view()});
   ContextOptions opts;
-  opts.threads = 3;  // no explicit pool arg: the context's pool serves
+  opts.threads = 3;  // the context's own pool runs the members
   Context ctx(opts);
-  gemm_batched(items, ctx);
+  ASSERT_OK(ctx.run_batched(items));
   for (const auto& p : problems)
     EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()),
               testutil::gemm_tolerance(p->a.cols()));
@@ -105,10 +108,27 @@ TEST(Batched, ContextOverloadUsesOwnPool) {
 
 TEST(Batched, EmptyBatchIsNoop) {
   Context ctx;
-  gemm_batched({}, ctx);
-  Plan plan(4, 4, 4, default_config(4, 4, 4));
-  gemm_batched({}, plan);
   EXPECT_TRUE(ctx.run_batched({}).ok());
+  EXPECT_EQ(ctx.stats().plan_misses, 0u);
+}
+
+// Quarantine applies inside a batch: with every probe failing, each shape
+// is pinned to the reference path, and its members must run there rather
+// than on a heuristic plan that never passed verification.
+TEST(Batched, RunBatchedHonorsReferencePins) {
+  Stored p0(24, 20, 12, 71), p1(24, 20, 12, 72), p2(9, 14, 30, 73);
+  ContextOptions opts;
+  opts.threads = 1;
+  Context ctx(opts);
+  failpoint::arm("verify.portable");  // every first-use probe fails
+  const Status s = ctx.run_batched({{p0.a.view(), p0.b.view(), p0.c.view()},
+                                    {p1.a.view(), p1.b.view(), p1.c.view()},
+                                    {p2.a.view(), p2.b.view(), p2.c.view()}});
+  failpoint::disarm_all();
+  ASSERT_TRUE(s.ok()) << s.to_string();
+  for (const Stored* p : {&p0, &p1, &p2})
+    EXPECT_LT(common::max_rel_error(p->c.view(), p->c_ref.view()), 1e-6);
+  EXPECT_EQ(ctx.health().reference_shapes, 2u);  // two distinct shapes
 }
 
 // A batch whose every member is degenerate (M, N or K of zero) is a

@@ -2,6 +2,7 @@
 // correctness, and backend-equivalence of full networks.
 #include <gtest/gtest.h>
 
+#include "common/failpoint.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/rng.hpp"
 #include "core/context.hpp"
@@ -11,9 +12,16 @@
 #include "dnn/shapes.hpp"
 
 #include <memory>
+#include <stdexcept>
 
 namespace autogemm::dnn {
 namespace {
+
+ContextOptions serial_options() {
+  ContextOptions opts;
+  opts.threads = 1;
+  return opts;
+}
 
 TEST(Shapes, TableFiveVerbatim) {
   const auto& layers = resnet50_layers();
@@ -104,7 +112,8 @@ TEST(Graph, BackendsAgreeOnSmallCnn) {
   // correctness precondition.
   Net net = build_small_cnn();
   const Tensor input = small_cnn_input();
-  const auto with_autogemm = net.run(input, autogemm_backend());
+  Context ctx(serial_options());
+  const auto with_autogemm = net.run(input, context_backend(ctx));
   const auto with_openblas = net.run(input, openblas_backend());
   const auto with_naive = net.run(input, naive_backend());
   ASSERT_EQ(with_autogemm.output.size(), 10);
@@ -119,7 +128,8 @@ TEST(Graph, BackendsAgreeOnSmallCnn) {
 TEST(Graph, TimingSplitCoversAllOps) {
   Net net = build_small_cnn();
   const Tensor input = small_cnn_input();
-  const auto result = net.run(input, autogemm_backend());
+  Context ctx(serial_options());
+  const auto result = net.run(input, context_backend(ctx));
   EXPECT_GT(result.gemm_seconds, 0.0);
   EXPECT_GT(result.other_seconds, 0.0);
   EXPECT_GT(result.total_seconds(), result.gemm_seconds);
@@ -192,7 +202,8 @@ TEST(Im2col, DirectConvShapeMismatchThrows) {
 TEST(Graph, ResidualBottleneckBackendsAgree) {
   Net net = build_bottleneck_net();
   const Tensor input = bottleneck_input();
-  const auto fast = net.run(input, autogemm_backend());
+  Context ctx(serial_options());
+  const auto fast = net.run(input, context_backend(ctx));
   const auto ref = net.run(input, naive_backend());
   ASSERT_EQ(fast.output.size(), 10);
   for (long i = 0; i < 10; ++i)
@@ -209,7 +220,8 @@ TEST(Graph, ResidualBottleneckBackendsAgree) {
 TEST(Graph, FireModuleConcatBackendsAgree) {
   Net net = build_fire_net();
   const Tensor input = fire_input();
-  const auto fast = net.run(input, autogemm_backend());
+  Context ctx(serial_options());
+  const auto fast = net.run(input, context_backend(ctx));
   const auto ref = net.run(input, naive_backend());
   ASSERT_EQ(fast.output.size(), 10);
   for (long i = 0; i < 10; ++i)
@@ -265,6 +277,24 @@ TEST(Graph, RunManyMatchesPerInputRun) {
       EXPECT_NEAR(batched.outputs[i].data[j], single.output.data[j], 1e-3)
           << "input " << i << " element " << j;
   }
+}
+
+TEST(Graph, ContextBackendThrowsOnFailedGemm) {
+  // A worker fault mid-GEMM leaves that layer's output unspecified; Net::run
+  // must surface the failure instead of returning the garbage normally.
+  Net net;
+  net.add(std::make_unique<Conv>("conv", ConvGeometry{64, 8, 8, 64, 1, 1, 1, 0},
+                                 /*seed=*/1));
+  Tensor in(64, 8, 8);
+  for (std::size_t i = 0; i < in.data.size(); ++i)
+    in.data[i] = static_cast<float>(i % 7) - 3.0f;
+  ContextOptions opts;
+  opts.threads = 4;
+  Context ctx(opts);
+  failpoint::arm("threadpool.worker", /*budget=*/1);
+  EXPECT_THROW(net.run(in, context_backend(ctx)), std::runtime_error);
+  failpoint::disarm_all();
+  EXPECT_TRUE(ctx.health().pool_degraded);
 }
 
 }  // namespace

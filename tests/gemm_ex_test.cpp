@@ -2,6 +2,9 @@
 // transposes, scalars, shapes, and the threaded path.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 #include <string>
 
 #include "common/matrix.hpp"
@@ -39,6 +42,22 @@ struct ExCase {
   float alpha, beta;
 };
 
+// gtest names each case by printing its parameter, and its default printer
+// dumps the raw object bytes, padding included. ExCase has two padding bytes
+// after `tb`, so the default names would differ from process to process.
+// Print the same dump with the padding zeroed.
+void PrintTo(const ExCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(ExCase)] = {};
+  std::memcpy(bytes + offsetof(ExCase, m), &c.m, sizeof c.m);
+  std::memcpy(bytes + offsetof(ExCase, n), &c.n, sizeof c.n);
+  std::memcpy(bytes + offsetof(ExCase, k), &c.k, sizeof c.k);
+  std::memcpy(bytes + offsetof(ExCase, ta), &c.ta, sizeof c.ta);
+  std::memcpy(bytes + offsetof(ExCase, tb), &c.tb, sizeof c.tb);
+  std::memcpy(bytes + offsetof(ExCase, alpha), &c.alpha, sizeof c.alpha);
+  std::memcpy(bytes + offsetof(ExCase, beta), &c.beta, sizeof c.beta);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
+
 class GemmExSweep : public ::testing::TestWithParam<ExCase> {};
 
 TEST_P(GemmExSweep, MatchesReference) {
@@ -60,7 +79,7 @@ TEST_P(GemmExSweep, MatchesReference) {
 
   GemmExParams params{p.ta, p.tb, p.alpha, p.beta};
   reference_ex(a.view(), b.view(), c_ref.view(), params);
-  gemm_ex(a.view(), b.view(), c.view(), params);
+  ASSERT_OK(testutil::run_serial(a.view(), b.view(), c.view(), params));
   EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
             testutil::gemm_tolerance(p.k));
 }
@@ -88,7 +107,7 @@ TEST(GemmEx, BetaZeroIgnoresGarbageC) {
   GemmExParams params;
   params.beta = 0.0f;
   reference_ex(a.view(), b.view(), c_ref.view(), params);
-  gemm_ex(a.view(), b.view(), c.view(), params);
+  ASSERT_OK(testutil::run_serial(a.view(), b.view(), c.view(), params));
   EXPECT_LT(common::max_rel_error(c.view(), c_ref.view()),
             testutil::gemm_tolerance(8));
 }

@@ -113,16 +113,6 @@ TEST_F(Robustness, AliasedOutputRejected) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(Robustness, VoidApiRecordsQueryableLastError) {
-  Context ctx(serial_opts());
-  EXPECT_TRUE(ctx.last_error().ok());
-  Matrix a(4, 4), b(4, 4);
-  MatrixView c_alias{a.data(), 4, 4, 4};
-  ctx.gemm(a.view(), b.view(), c_alias);  // legacy API: no throw, no crash
-  EXPECT_EQ(ctx.last_error().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(ctx.last_error().message().empty());
-}
-
 // --------------------------------------------------------- degenerate shapes
 
 TEST_F(Robustness, EmptyOutputIsAnOkNoop) {
@@ -138,7 +128,6 @@ TEST_F(Robustness, EmptyOutputIsAnOkNoop) {
   EXPECT_TRUE(ctx.run(a.view(), ConstMatrixView{nullptr, 5, 0, 0},
                       MatrixView{nullptr, 4, 0, 0})
                   .ok());
-  EXPECT_TRUE(ctx.last_error().ok());
 }
 
 TEST_F(Robustness, KZeroIsBetaScaleOfC) {
@@ -167,11 +156,16 @@ TEST_F(Robustness, KZeroIsBetaScaleOfC) {
 }
 
 TEST_F(Robustness, SgemmShimHandlesKZero) {
-  // The BLAS-compatible shim routes through Context::run, so a K = 0 call
-  // beta-scales C instead of falling into plan construction.
+  // The BLAS form with K = 0 and null operand storage (lda = 0, as BLAS
+  // callers pass it) beta-scales C instead of falling into plan
+  // construction.
+  Context ctx(serial_opts());
   std::vector<float> c(4, 2.0f);
-  sgemm('N', 'N', 2, 2, /*k=*/0, 1.0f, nullptr, 0, nullptr, 2, 0.5f,
-        c.data(), 2);
+  GemmExParams p;
+  p.beta = 0.5f;
+  ASSERT_OK(ctx.run(ConstMatrixView{nullptr, 2, 0, 0},
+                    ConstMatrixView{nullptr, 0, 2, 2},
+                    MatrixView{c.data(), 2, 2, 2}, p));
   for (float v : c) EXPECT_EQ(v, 1.0f);
 }
 
@@ -268,19 +262,6 @@ TEST_F(Robustness, QuarantineSurvivesCacheClear) {
   EXPECT_EQ(ctx.stats().resolved_heuristic, 2u);
 }
 
-TEST_F(Robustness, VerificationCanBeDisabled) {
-  ContextOptions opts = serial_opts();
-  opts.verify_kernels = false;
-  Context ctx(opts);
-  Matrix a(24, 24), b(24, 24), c(24, 24);
-  common::fill_random(a.view(), 1);
-  common::fill_random(b.view(), 2);
-  EXPECT_TRUE(ctx.run(a.view(), b.view(), c.view(), overwrite()).ok());
-  const HealthReport h = ctx.health();
-  EXPECT_EQ(h.probes, 0u);
-  EXPECT_FALSE(h.degraded);
-}
-
 // -------------------------------------------------- Status-native factories
 
 TEST_F(Robustness, PlanCreateReportsInvalidInputs) {
@@ -352,14 +333,13 @@ TEST_F(Robustness, PipelineCycleAndInstructionBudgets) {
 }
 
 TEST_F(Robustness, ProbeWatchdogBudgetConfigurableThroughContext) {
-  // The first-use verification probe's interpreter budget used to be a
-  // hard-coded constant; it now flows from ContextOptions::watchdog. A
-  // starvation budget makes every generated probe trip kDeadlineExceeded
+  // The first-use verification probe's interpreter budget comes from
+  // ContextOptions::probe_max_steps. A starvation budget makes every generated probe trip kDeadlineExceeded
   // — which quarantines the candidate and the ladder serves the call from
   // a lower tier, numerically right (the chaos harness leans on exactly
   // this knob).
   ContextOptions opts = serial_opts();
-  opts.watchdog.probe_max_steps = 4;
+  opts.probe_max_steps = 4;
   Context ctx(opts);
   Matrix a(16, 16), b(16, 16), c(16, 16), c_ref(16, 16);
   common::fill_random(a.view(), 1);
@@ -372,28 +352,6 @@ TEST_F(Robustness, ProbeWatchdogBudgetConfigurableThroughContext) {
   const HealthReport h = ctx.health();
   EXPECT_TRUE(h.degraded);
   EXPECT_GE(h.quarantined_configs, 1u);
-}
-
-TEST_F(Robustness, PipelineBudgetsFlowFromContextOptions) {
-  ContextOptions opts = serial_opts();
-  opts.watchdog.sim_max_dynamic_instructions = 4;
-  opts.watchdog.sim_max_cycles = 1.0;
-  Context ctx(opts);
-  sim::SimOptions po = ctx.pipeline_options();
-  EXPECT_EQ(po.max_dynamic_instructions, 4);
-  EXPECT_EQ(po.max_cycles, 1.0);
-  // The handed-out options really bound a simulation.
-  const auto mk = codegen::generate_microkernel(4, 8, 32, 4, {});
-  po.lda = codegen::padded_k_a(32, 4);
-  po.ldb = 8;
-  po.ldc = 8;
-  sim::SimStats stats;
-  EXPECT_EQ(sim::simulate_checked(mk.program, hw::host_model(), po, stats)
-                .code(),
-            StatusCode::kDeadlineExceeded);
-  // Defaults are the former hard-coded values.
-  EXPECT_EQ(Context(serial_opts()).pipeline_options().max_dynamic_instructions,
-            20'000'000);
 }
 
 // --------------------------------------------------- damaged records intake
@@ -413,7 +371,7 @@ TEST_F(Robustness, ContextLoadsDamagedRecordsFileDegraded) {
   ContextOptions opts = serial_opts();
   opts.records_path = path;
   Context ctx(opts);
-  EXPECT_EQ(ctx.records().size(), 1u);
+  EXPECT_EQ(ctx.records_snapshot().size(), 1u);
   const HealthReport h = ctx.health();
   EXPECT_TRUE(h.degraded);
   EXPECT_EQ(h.records_skipped, 1u);

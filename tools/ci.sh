@@ -32,7 +32,10 @@
 # configuration repeats the 20-seed chaos pass plus the 6-seed sharded
 # chaos pass under the sanitizers.
 #
-# The release configuration ends with the backend matrix: the full ctest
+# The release configuration also builds the benchmark (hostbench/, its
+# own CMake project over the library sources) into build-hostbench and
+# runs its selftest, so a library API change that breaks the benchmark
+# fails CI. It ends with the backend matrix: the full ctest
 # suite re-runs under AUTOGEMM_BACKEND=neon and =sve_sim (kAuto contexts
 # resolve through the env, so every registered tier serves the whole test
 # load), followed by the NEON vs simulated-SVE vs reference_gemm
@@ -81,6 +84,13 @@ for config in "${configs[@]}"; do
     release)
       run_config release build -DCMAKE_BUILD_TYPE=Release
       fault_injection_pass build
+      echo "==== [release] benchmark build + selftest (hostbench/) ===="
+      # The benchmark is its own CMake project over ../src: building it
+      # here catches a public-API change that breaks it before the
+      # benchmark next runs. The selftest checks its statistics helpers.
+      cmake -S hostbench -B build-hostbench -DCMAKE_BUILD_TYPE=Release
+      cmake --build build-hostbench -j "$jobs"
+      ./build-hostbench/hostbench_selftest
       echo "==== [release] multi-thread pass (pooled, threads=4) ===="
       # Re-run the parallel-path suites with an explicit 4-worker pool: the
       # strategy heuristic, the k-split determinism contract and the pooled
