@@ -9,17 +9,23 @@
 // the no-obs baseline a second library build would provide, minus a
 // second build.
 //
-//   median(lib, tracing off) vs median(replica)  ->  must be < 2% apart
-//   median(lib, tracing on)                      ->  reported for context
+// Each round times one sample of each side back to back — replica, library
+// with tracing off, library with tracing on — so drift in machine load
+// lands on all three. The per-round ratio lib/replica is the statistic;
+// its median and interquartile range are reported, and the verdict says
+// whether the spread resolves the 2% bar:
 //
-// Samples are interleaved (replica, lib, replica, lib, ...) so drift in
-// machine load lands on both sides. The check is advisory by design —
-// this binary always exits 0 and prints PASS/WARN — because a loaded CI
-// machine can make any wall-clock comparison lie; tools/ci.sh runs it
-// non-gating and the number is for humans and trend lines.
+//   PASS        upper quartile of tracing-off overhead < 2%
+//   FAIL        lower quartile >= 2%
+//   UNRESOLVED  the interquartile range straddles 2% (too noisy to tell)
+//
+// The check is advisory by design — this binary always exits 0 — because
+// a loaded CI machine can make any wall-clock comparison lie; tools/ci.sh
+// runs it non-gating and the number is for humans and trend lines.
 //
 //   build/bench/bench_obs_overhead [M N K] [--warmup W] [--repeats R]
 //                                  [--json-out out.json]
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -161,6 +167,28 @@ double time_once(const Fn& fn) {
   return static_cast<double>(common::now_ns() - t0) * 1e-9 / kBatch;
 }
 
+/// Percent overhead of each round's library sample over its replica
+/// sample, summarised as {lower quartile, median, upper quartile}
+/// (linear interpolation between order statistics).
+struct Spread {
+  double q1, median, q3;
+};
+
+Spread overhead_pct(const std::vector<double>& lib,
+                    const std::vector<double>& replica) {
+  std::vector<double> pct;
+  for (std::size_t i = 0; i < lib.size(); ++i)
+    pct.push_back((lib[i] / replica[i] - 1.0) * 100.0);
+  std::sort(pct.begin(), pct.end());
+  const auto at = [&pct](double q) {
+    const double pos = q * static_cast<double>(pct.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, pct.size() - 1);
+    return pct[lo] + (pos - static_cast<double>(lo)) * (pct[hi] - pct[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,45 +218,48 @@ int main(int argc, char** argv) {
     run_replica();
     run_lib();
   }
-  std::vector<double> s_replica, s_off;
+  obs::set_trace_enabled(true);
+  run_lib();  // warm the trace lanes
+  obs::set_trace_enabled(false);
+  std::vector<double> s_replica, s_off, s_on;
   for (int i = 0; i < args.repeats; ++i) {
     s_replica.push_back(time_once(run_replica));
     s_off.push_back(time_once(run_lib));
+    obs::set_trace_enabled(true);
+    s_on.push_back(time_once(run_lib));
+    obs::set_trace_enabled(false);
   }
-
-  obs::set_trace_enabled(true);
-  run_lib();  // warm the trace lanes
-  std::vector<double> s_on;
-  for (int i = 0; i < args.repeats; ++i) s_on.push_back(time_once(run_lib));
-  obs::set_trace_enabled(false);
   obs::Tracer::instance().clear();
 
   const double med_replica = bench::median(s_replica);
-  const double med_off = bench::median(s_off);
-  const double med_on = bench::median(s_on);
-  const double overhead_off = (med_off - med_replica) / med_replica * 100.0;
-  const double overhead_on = (med_on - med_replica) / med_replica * 100.0;
-  const bool pass = overhead_off < 2.0;
+  const Spread off = overhead_pct(s_off, s_replica);
+  const Spread on = overhead_pct(s_on, s_replica);
+  constexpr double kBarPct = 2.0;
+  const char* verdict = off.q3 < kBarPct    ? "PASS"
+                        : off.q1 >= kBarPct ? "FAIL"
+                                            : "UNRESOLVED";
 
   std::printf("%-28s %10.3f ms\n", "replica (no obs compiled)",
               med_replica * 1e3);
-  std::printf("%-28s %10.3f ms   (%+.2f%%)\n", "library, tracing off",
-              med_off * 1e3, overhead_off);
-  std::printf("%-28s %10.3f ms   (%+.2f%%)\n", "library, tracing on",
-              med_on * 1e3, overhead_on);
-  std::printf("\n%s: tracing-off overhead %.2f%% (threshold 2%%)\n",
-              pass ? "PASS" : "WARN", overhead_off);
+  std::printf("%-28s %+9.2f%%   IQR [%+.2f%%, %+.2f%%]\n",
+              "library, tracing off", off.median, off.q1, off.q3);
+  std::printf("%-28s %+9.2f%%   IQR [%+.2f%%, %+.2f%%]\n",
+              "library, tracing on", on.median, on.q1, on.q3);
+  std::printf("\n%s: tracing-off overhead %.2f%%, IQR [%.2f%%, %.2f%%] "
+              "(bar %.0f%%)\n",
+              verdict, off.median, off.q1, off.q3, kBarPct);
 
-  char json[512];
+  char json[640];
   std::snprintf(
       json, sizeof(json),
       "{\"bench\": \"obs_overhead\", \"m\": %d, \"n\": %d, \"k\": %d, "
       "\"samples\": %d, \"replica_seconds\": %.6f, "
-      "\"lib_off_seconds\": %.6f, \"lib_on_seconds\": %.6f, "
-      "\"overhead_off_pct\": %.3f, \"overhead_on_pct\": %.3f, "
-      "\"pass\": %s}",
-      m, n, k, args.repeats, med_replica, med_off, med_on, overhead_off,
-      overhead_on, pass ? "true" : "false");
+      "\"overhead_off_pct\": %.3f, \"overhead_off_pct_q1\": %.3f, "
+      "\"overhead_off_pct_q3\": %.3f, \"overhead_on_pct\": %.3f, "
+      "\"overhead_on_pct_q1\": %.3f, \"overhead_on_pct_q3\": %.3f, "
+      "\"verdict\": \"%s\"}",
+      m, n, k, args.repeats, med_replica, off.median, off.q1, off.q3,
+      on.median, on.q1, on.q3, verdict);
   const std::string payload = bench::with_metrics(json);
   std::printf("\n%s\n", payload.c_str());
   if (!args.json_out.empty()) bench::write_json_file(args.json_out, payload);

@@ -14,6 +14,7 @@
 // GEMMs win on bytes, not ALU throughput, and their speedup is noisier.
 //
 //   build/bench/bench_quant [--repeats N] [--json-out F]
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "bench_util.hpp"
 #include "common/reference_gemm.hpp"
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "core/context.hpp"
 #include "core/gemm.hpp"
 #include "kernels/qkernel.hpp"
@@ -74,27 +76,42 @@ int main(int argc, char** argv) {
     }
     auto packed_b = PackedB::create(b.view(), *plan);
     if (!packed_b.ok()) return 1;
-    const auto t_f32 = bench::median(bench::time_reps(
-        [&] {
-          c_f32.set_zero();
-          gemm(a.view(), *packed_b, b.view(), c_f32.view(), *plan, nullptr);
-        },
-        args.warmup, args.repeats));
+    const auto run_f32 = [&] {
+      c_f32.set_zero();
+      gemm(a.view(), *packed_b, b.view(), c_f32.view(), *plan, nullptr);
+    };
 
     // int8 tier: offline-quantized+packed B, A quantized per call.
     auto qb = quant::QPackedB::create(b.view());
     if (!qb.ok()) return 1;
     quant::QGemmOptions qopts;
     qopts.beta = 0.0f;
-    const auto t_i8 = bench::median(bench::time_reps(
-        [&] {
-          Status st = quant::qgemm(a.view(), *qb, c_i8.view(), qopts);
-          if (!st.ok()) {
-            std::fprintf(stderr, "qgemm failed: %s\n", st.to_string().c_str());
-            std::exit(1);
-          }
-        },
-        args.warmup, args.repeats));
+    const auto run_i8 = [&] {
+      Status st = quant::qgemm(a.view(), *qb, c_i8.view(), qopts);
+      if (!st.ok()) {
+        std::fprintf(stderr, "qgemm failed: %s\n", st.to_string().c_str());
+        std::exit(1);
+      }
+    };
+
+    // Alternate the two tiers rep by rep, so a shift in host speed during
+    // the shape's measurement lands on both sides instead of deciding the
+    // gate; each side is still the median of its own repeats. Every timed
+    // rep follows `warmup` untimed runs of its own tier, so it starts from
+    // that tier's warm caches rather than the other tier's.
+    const auto warm_then_time = [&args](const auto& fn) {
+      for (int i = 0; i < args.warmup; ++i) fn();
+      const std::uint64_t t0 = common::now_ns();
+      fn();
+      return static_cast<double>(common::now_ns() - t0) * 1e-9;
+    };
+    std::vector<double> f32_reps, i8_reps;
+    for (int i = 0; i < args.repeats; ++i) {
+      f32_reps.push_back(warm_then_time(run_f32));
+      i8_reps.push_back(warm_then_time(run_i8));
+    }
+    const double t_f32 = bench::median(f32_reps);
+    const double t_i8 = bench::median(i8_reps);
 
     common::reference_gemm(a.view(), b.view(), c_ref.view());
     const double rel_err =

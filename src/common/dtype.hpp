@@ -5,7 +5,7 @@
 // int8 weights/activations with per-channel fp32 scales and a bf16-style
 // truncated-mantissa mixed-precision mode. DType is the discriminator that
 // flows through packed-operand caching (core::Context), tuning records
-// (tune::RecordKey), serve shape buckets and the obs label twins — one axis,
+// (tune::RecordKey), serve shape buckets and the obs dtype labels — one axis,
 // declared once, so every layer agrees on the encoding.
 //
 // Encodings are stable on-disk values (tuning-records field 12): kF32=0,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -286,12 +285,7 @@ struct ObsHandles {
   obs::Counter* resolved_exact;
   obs::Counter* resolved_nearest;
   obs::Counter* resolved_heuristic;
-  obs::Counter* strategy_serial;
-  obs::Counter* strategy_blocks;
-  obs::Counter* strategy_ksplit;
-  obs::Counter* probes;
   obs::Counter* probe_failures;
-  obs::Histogram* gemm_seconds;
 };
 
 ObsHandles& obs_handles() {
@@ -317,25 +311,18 @@ ObsHandles& obs_handles() {
         &r.counter("autogemm_plan_resolved_total{source=\"nearest\"}");
     x.resolved_heuristic =
         &r.counter("autogemm_plan_resolved_total{source=\"heuristic\"}");
-    x.strategy_serial =
-        &r.counter("autogemm_strategy_total{strategy=\"serial\"}");
-    x.strategy_blocks =
-        &r.counter("autogemm_strategy_total{strategy=\"blocks\"}");
-    x.strategy_ksplit =
-        &r.counter("autogemm_strategy_total{strategy=\"ksplit\"}");
-    x.probes = &r.counter("autogemm_verify_probes_total");
     x.probe_failures = &r.counter("autogemm_verify_probe_failures_total");
-    x.gemm_seconds = &r.histogram("autogemm_gemm_seconds");
     return x;
   }();
   return h;
 }
 
-/// Backend-labeled series, alongside (never instead of) the unlabeled
-/// legacy counters above: autogemm_backend_dispatch_total{backend=...}
+/// Backend-labeled families: autogemm_backend_dispatch_total{backend=...}
 /// counts every plan-driven execution a context dispatches under a
-/// backend, and the strategy/probe counters gain backend-labeled twins so
-/// NEON and simulated-SVE traffic is separable in one process.
+/// backend; autogemm_verify_probes_total{backend} and
+/// autogemm_strategy_total{strategy,backend} carry the backend so NEON and
+/// simulated-SVE traffic is separable in one process (sum over `backend`
+/// for the process total).
 struct BackendObs {
   obs::Counter* dispatch;
   obs::Counter* probes;
@@ -380,80 +367,49 @@ const char* health_kind_name(HealthEvent::Kind kind) {
   return "unknown";
 }
 
-/// Cardinality cap for the per-shape latency series (see the
-/// set_shape_label_cap contract in context.hpp): labels go to the first
-/// `cap` distinct shapes, first-come-first-served; later shapes share
-/// "other" so an adversarial shape stream cannot grow the registry without
-/// bound. The unlabeled autogemm_gemm_seconds histogram always sees every
-/// call. AUTOGEMM_SHAPE_LABEL_CAP overrides the default of 128.
-std::atomic<std::size_t>& shape_label_cap_storage() {
-  static std::atomic<std::size_t> cap{[]() -> std::size_t {
-    if (const char* env = std::getenv("AUTOGEMM_SHAPE_LABEL_CAP")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0') return static_cast<std::size_t>(v);
-    }
-    return 128;
-  }()};
-  return cap;
-}
+/// Cardinality cap for autogemm_gemm_seconds{shape,dtype}: shape labels go
+/// to the first 128 distinct shapes a process executes, first-come-first-
+/// served; later shapes share "other" so an adversarial shape stream cannot
+/// grow the registry without bound. The cap does NOT track hotness: a shape
+/// that becomes hot after it fills stays under "other" (which is why the
+/// online tuner ranks hot shapes from the serve engine's per-shape request
+/// accounting, never from these labels).
+constexpr std::size_t kShapeLabelCap = 128;
 
-/// One FCFS label set shared by the shape-only series and the dtype twins:
-/// the cap bounds the union, and a shape capped to "other" aggregates under
-/// "other" in every dtype series too (no family can leak past the cap).
+/// One FCFS label set shared by every dtype: a shape capped to "other" is
+/// "other" in every dtype's series, so each dtype holds at most
+/// kShapeLabelCap shape labels plus "other".
 std::string capped_shape_label(int m, int n, int k) {
   static std::mutex mu;
   static std::set<std::string>& seen = *new std::set<std::string>;
   std::string label = shape_string(m, n, k);
   std::lock_guard lock(mu);
   if (seen.count(label) == 0) {
-    if (seen.size() >= shape_label_cap_storage().load()) label = "other";
+    if (seen.size() >= kShapeLabelCap) label = "other";
     else seen.insert(label);
   }
   return label;
 }
 
-obs::Histogram& shape_latency_histogram(int m, int n, int k) {
-  return obs::default_registry().histogram(
-      "autogemm_gemm_seconds{shape=\"" + capped_shape_label(m, n, k) + "\"}");
-}
-
-/// Dtype-labeled twin, alongside (never instead of) the legacy shape-only
-/// series: autogemm_gemm_seconds{shape=...,dtype=...} separates fp32 and
-/// int8 latency for one shape in one process — the serving dashboards'
-/// per-tier view.
-obs::Histogram& shape_dtype_latency_histogram(int m, int n, int k,
-                                              common::DType dtype) {
-  return obs::default_registry().histogram(
-      "autogemm_gemm_seconds{shape=\"" + capped_shape_label(m, n, k) +
-      "\",dtype=\"" + common::dtype_name(dtype) + "\"}");
-}
-
-/// Cached per-shape histogram pointers for the quantized path (registry
-/// entries are stable for the registry's lifetime, so caching is safe).
-/// Keyed by the *capped* label, so the cache is bounded by the shape-label
-/// cap plus the "other" slot even under an adversarial shape stream.
-struct QuantShapeObs {
-  obs::Histogram* latency = nullptr;        // legacy shape-only series
-  obs::Histogram* latency_dtype = nullptr;  // {shape=...,dtype="i8"} twin
-};
-
-const QuantShapeObs& quant_shape_obs(int m, int n, int k) {
+/// The shape's latency histogram, autogemm_gemm_seconds{shape,dtype}: the
+/// one latency family, observed once per non-batched call. Handles are
+/// cached (registry entries are stable for the registry's lifetime) under
+/// the *capped* label, so the cache is bounded by the cap plus the "other"
+/// slot even under an adversarial shape stream.
+obs::Histogram& latency_histogram(int m, int n, int k, common::DType dtype) {
   static std::mutex mu;
-  static std::map<std::string, QuantShapeObs>& cache =
-      *new std::map<std::string, QuantShapeObs>;
+  static std::map<std::pair<std::string, common::DType>, obs::Histogram*>&
+      cache = *new std::map<std::pair<std::string, common::DType>,
+                            obs::Histogram*>;
   const std::string label = capped_shape_label(m, n, k);
   std::lock_guard lock(mu);
-  auto [it, inserted] = cache.try_emplace(label);
+  auto [it, inserted] = cache.try_emplace({label, dtype});
   if (inserted) {
-    obs::Registry& r = obs::default_registry();
-    it->second.latency =
-        &r.histogram("autogemm_gemm_seconds{shape=\"" + label + "\"}");
-    it->second.latency_dtype = &r.histogram(
+    it->second = &obs::default_registry().histogram(
         "autogemm_gemm_seconds{shape=\"" + label + "\",dtype=\"" +
-        common::dtype_name(common::DType::kI8) + "\"}");
+        common::dtype_name(dtype) + "\"}");
   }
-  return it->second;
+  return *it->second;
 }
 
 }  // namespace
@@ -527,7 +483,6 @@ Status Context::verify_config(const Plan& plan) {
   obs::SpanScope span("verify.probe",
                       static_cast<std::uint64_t>(plan.m()),
                       static_cast<std::uint64_t>(plan.n()));
-  obs_handles().probes->add(1);
   const GemmConfig& cfg = plan.config();
   backend_obs(cfg.backend).probes->add(1);
   {
@@ -644,9 +599,7 @@ Context::PlanEntry Context::entry_for(int m, int n, int k) {
   }
 
   PlanEntry entry;  // plan == nullptr -> reference pin
-  entry.latency = &shape_latency_histogram(m, n, k);
-  entry.latency_dtype =
-      &shape_dtype_latency_histogram(m, n, k, common::DType::kF32);
+  entry.latency = &latency_histogram(m, n, k, common::DType::kF32);
   entry.generation = resolve_gen;
   for (const auto& cand : candidates) {
     StatusOr<Plan> plan_or = Plan::create(m, n, k, cand.cfg);
@@ -741,16 +694,10 @@ std::shared_ptr<const Plan> Context::plan_for(int m, int n, int k) {
 
 void Context::note_strategy(bool serial, ParallelStrategy chosen) {
   const BackendObs& bo = backend_obs(backend_);
-  if (serial) {
-    obs_handles().strategy_serial->add(1);
-    bo.strategy_serial->add(1);
-  } else if (chosen == ParallelStrategy::kKSplit) {
-    obs_handles().strategy_ksplit->add(1);
-    bo.strategy_ksplit->add(1);
-  } else {
-    obs_handles().strategy_blocks->add(1);
-    bo.strategy_blocks->add(1);
-  }
+  (serial                                ? bo.strategy_serial
+   : chosen == ParallelStrategy::kKSplit ? bo.strategy_ksplit
+                                         : bo.strategy_blocks)
+      ->add(1);
   std::lock_guard lock(mu_);
   if (serial) {
     ++stats_.strategy_serial;
@@ -782,9 +729,7 @@ Status Context::execute_entry(const PlanEntry& entry, ConstMatrixView a,
   backend_obs(backend_).dispatch->add(1);
   h.calls->add(1);
   h.flops->add(2 * m * n * k);
-  h.gemm_seconds->observe(seconds);
   if (entry.latency != nullptr) entry.latency->observe(seconds);
-  if (entry.latency_dtype != nullptr) entry.latency_dtype->observe(seconds);
   return s;
 }
 
@@ -1095,10 +1040,8 @@ Status Context::execute_quant(ConstMatrixView a, ConstMatrixView b,
   const double seconds = static_cast<double>(common::now_ns() - t0) * 1e-9;
   h.calls->add(1);
   h.flops->add(2 * m * n * k);
-  h.gemm_seconds->observe(seconds);
-  const QuantShapeObs& qobs = quant_shape_obs(c.rows, c.cols, a.cols);
-  qobs.latency->observe(seconds);
-  qobs.latency_dtype->observe(seconds);
+  latency_histogram(c.rows, c.cols, a.cols, common::DType::kI8)
+      .observe(seconds);
   return s;
 }
 
@@ -1444,11 +1387,5 @@ std::size_t Context::packed_cache_size() const {
   std::lock_guard lock(mu_);
   return packed_lru_.size();
 }
-
-void set_shape_label_cap(std::size_t cap) {
-  shape_label_cap_storage().store(cap);
-}
-
-std::size_t shape_label_cap() { return shape_label_cap_storage().load(); }
 
 }  // namespace autogemm

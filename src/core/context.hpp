@@ -43,6 +43,13 @@
 // Every entry point returns the Status of its own call; everything the
 // ladder does is observable through health().
 //
+// Every context also reports to the process-wide obs registry, one metric
+// family per quantity (README "Observability" lists them). Per-call
+// latency is autogemm_gemm_seconds{shape,dtype}, one sample per
+// non-batched call; shape labels are capped at the first 128 distinct
+// shapes of the process (first-come-first-served, later shapes share
+// "other", in every dtype).
+//
 // Packed-operand caching is keyed by pointer identity: the cache cannot
 // see through the pointer, so callers that mutate or free a cached
 // operand must call invalidate(ptr) (or clear()) before the next gemm on
@@ -231,7 +238,7 @@ class Context {
   /// and exact int32 accumulation (quant/qgemm.hpp; the accuracy contract
   /// — relative Frobenius error <= 1e-2 vs an fp64 reference — lives
   /// there). No transposes: operands are taken canonical. Shares the obs
-  /// accounting of run() plus the dtype-labeled latency twin
+  /// accounting of run(); its latency lands in
   /// autogemm_gemm_seconds{shape=...,dtype="i8"}.
   Status run_i8(common::ConstMatrixView a, common::ConstMatrixView b,
                 common::MatrixView c, float alpha = 1.0f, float beta = 1.0f);
@@ -368,14 +375,12 @@ class Context {
   };
   /// A cached, verified resolution for one shape. `plan == nullptr` means
   /// the shape is pinned to the reference path. `latency` is the shape's
-  /// per-shape latency histogram in the process-wide obs registry (stable
-  /// for the registry's lifetime, so caching the pointer is safe).
+  /// autogemm_gemm_seconds{shape=...,dtype="f32"} histogram in the
+  /// process-wide obs registry (stable for the registry's lifetime, so
+  /// caching the pointer is safe).
   struct PlanEntry {
     std::shared_ptr<const Plan> plan;
     obs::Histogram* latency = nullptr;
-    /// The {shape=...,dtype="f32"} twin of `latency` (same registry
-    /// stability argument; the quantized path keeps its own i8 twins).
-    obs::Histogram* latency_dtype = nullptr;
     /// records_gen_ observed when this entry resolved. A hit whose
     /// generation is behind the live counter is stale — the records table
     /// changed since — and re-resolves as a miss.
@@ -386,7 +391,7 @@ class Context {
   Status run_batched_impl(const std::vector<BatchItem>& items, bool validate);
   Status verify_config(const Plan& plan);
   /// execute_entry wraps the impl with the obs timing/accounting (span,
-  /// latency histograms, call/flop/failure counters).
+  /// latency histogram, call/flop/dispatch counters).
   Status execute_entry(const PlanEntry& entry, common::ConstMatrixView a,
                        common::ConstMatrixView b, common::MatrixView c,
                        const GemmExParams& beta1_params,
@@ -401,9 +406,9 @@ class Context {
       common::ConstMatrixView b, const std::shared_ptr<const Plan>& plan);
   StatusOr<std::shared_ptr<const quant::QPackedB>> qpacked_b_for(
       common::ConstMatrixView b);
-  /// Times one quantized call and updates the obs accounting (calls/flops,
-  /// unlabeled + shape-labeled + dtype-labeled latency series). Exactly one
-  /// of b / qb drives the kernel.
+  /// Times one quantized call and updates the obs accounting (calls/flops
+  /// and the {shape,dtype="i8"} latency series). Exactly one of b / qb
+  /// drives the kernel.
   Status execute_quant(common::ConstMatrixView a, common::ConstMatrixView b,
                        const quant::QPackedB* qb, common::MatrixView c,
                        const quant::QGemmOptions& opts);
@@ -440,24 +445,5 @@ class Context {
   std::once_flag pool_once_;
   std::unique_ptr<common::ThreadPool> pool_;
 };
-
-/// Cardinality cap for the per-shape latency series
-/// (autogemm_gemm_seconds{shape="MxNxK"}): labels are assigned first-come-
-/// first-served to the first `cap` distinct shapes a process executes;
-/// every later shape shares the "other" series. The cap bounds registry
-/// growth under an adversarial shape stream — it does NOT track hotness,
-/// so a shape that becomes hot after the cap fills stays aggregated under
-/// "other" forever (which is why the online tuner ranks hot shapes from
-/// the serve engine's per-shape request accounting, never from these
-/// labels). The dtype-labeled twins
-/// (autogemm_gemm_seconds{shape=...,dtype=...}) draw from the same
-/// first-come-first-served label set, so the cap bounds the union of both
-/// families — a shape capped to "other" is "other" in every dtype series
-/// too. Initialized from AUTOGEMM_SHAPE_LABEL_CAP (default 128);
-/// raising the cap at runtime admits new labels, lowering it never evicts
-/// already-assigned ones. The unlabeled autogemm_gemm_seconds histogram
-/// always sees every call regardless of the cap.
-void set_shape_label_cap(std::size_t cap);
-std::size_t shape_label_cap();
 
 }  // namespace autogemm

@@ -32,7 +32,6 @@ struct ServeObs {
   obs::Counter* expired;
   obs::Counter* completed_ok;
   obs::Counter* completed_error;
-  obs::Counter* batches;
   obs::Counter* dispatched_batched;
   obs::Counter* dispatched_single;
   obs::Counter* breaker_open;
@@ -46,7 +45,6 @@ struct ServeObs {
   obs::Counter* retry_budget_exhausted;
   obs::Gauge* queue_depth;
   obs::Gauge* breakers_open;
-  obs::Gauge* state;
   obs::Histogram* queue_seconds_interactive;
   obs::Histogram* queue_seconds_bulk;
   obs::Histogram* batch_size;
@@ -77,7 +75,6 @@ ServeObs& serve_obs() {
         &r.counter("autogemm_serve_completed_total{result=\"ok\"}");
     x.completed_error =
         &r.counter("autogemm_serve_completed_total{result=\"error\"}");
-    x.batches = &r.counter("autogemm_serve_batches_total");
     x.dispatched_batched =
         &r.counter("autogemm_serve_dispatched_total{mode=\"batched\"}");
     x.dispatched_single =
@@ -98,10 +95,9 @@ ServeObs& serve_obs() {
     x.retries = &r.counter("autogemm_serve_retries_total");
     x.retry_budget_exhausted =
         &r.counter("autogemm_serve_retry_budget_exhausted_total");
+    // Sums over live engines (see Engine::publish_gauges_locked).
     x.queue_depth = &r.gauge("autogemm_serve_queue_depth");
     x.breakers_open = &r.gauge("autogemm_serve_breakers_open");
-    // 0 = running, 1 = draining, 2 = stopped (EngineState order).
-    x.state = &r.gauge("autogemm_serve_state");
     x.queue_seconds_interactive =
         &r.histogram("autogemm_serve_queue_seconds{lane=\"interactive\"}");
     x.queue_seconds_bulk =
@@ -115,10 +111,6 @@ ServeObs& serve_obs() {
   return h;
 }
 
-/// Dtype-labeled twin of the batch counter, alongside (never instead of)
-/// the unlabeled aggregate: autogemm_serve_batches_total{dtype=...} splits
-/// dispatch volume by execution tier, the serving-side mirror of the
-/// autogemm_gemm_seconds{shape=,dtype=} latency twins in core.
 /// Executes one request on its tier: fp32 through the tuned plan path,
 /// int8 through the cached-QPackedB quantized path (a serving stream
 /// repeats B data pointers per shape, so the quantized packing is built
@@ -129,6 +121,8 @@ Status run_request(Context& ctx, const serve::GemmRequest& req) {
   return ctx.run(req.a, req.b, req.c);
 }
 
+/// autogemm_serve_batches_total{dtype=...}: coalesced batches dispatched,
+/// by execution tier (sum over `dtype` for the total).
 obs::Counter& dtype_batches_counter(common::DType dtype) {
   static std::mutex mu;
   static std::map<common::DType, obs::Counter*>& cache =
@@ -142,54 +136,6 @@ obs::Counter& dtype_batches_counter(common::DType dtype) {
     it = cache.emplace(dtype, &c).first;
   }
   return *it->second;
-}
-
-}  // namespace
-
-/// Shard-labeled twins of the key serve metrics. Resolved once per shard
-/// index and cached process-wide: two engines serving the same shard label
-/// (one fleet torn down, another built) share handles, mirroring how the
-/// registry itself deduplicates by name.
-struct ShardObs {
-  obs::Counter* submitted;
-  obs::Counter* admitted;
-  obs::Counter* rejected;
-  obs::Counter* shed;
-  obs::Counter* displaced;
-  obs::Counter* expired;
-  obs::Counter* completed_ok;
-  obs::Counter* completed_error;
-  obs::Gauge* queue_depth;
-};
-
-namespace {
-
-ShardObs* shard_obs_for(int shard) {
-  if (shard < 0) return nullptr;
-  static std::mutex mu;
-  // Map nodes are stable, so &value survives later insertions; entries
-  // live for the process (one per shard label ever seen, bounded).
-  static std::map<int, ShardObs> table;
-  std::lock_guard lock(mu);
-  auto it = table.find(shard);
-  if (it != table.end()) return &it->second;
-  obs::Registry& r = obs::default_registry();
-  const std::string label = "{shard=\"" + std::to_string(shard) + "\"}";
-  ShardObs x;
-  x.submitted = &r.counter("autogemm_serve_submitted_total" + label);
-  x.admitted = &r.counter("autogemm_serve_admitted_total" + label);
-  x.rejected = &r.counter("autogemm_serve_rejected_total" + label);
-  x.shed = &r.counter("autogemm_serve_shed_total" + label);
-  x.displaced = &r.counter("autogemm_serve_displaced_total" + label);
-  x.expired = &r.counter("autogemm_serve_expired_total" + label);
-  x.completed_ok =
-      &r.counter("autogemm_serve_completed_total{result=\"ok\",shard=\"" +
-                 std::to_string(shard) + "\"}");
-  x.completed_error =
-      &r.counter("autogemm_serve_completed_total{result=\"error\",shard=\"" +
-                 std::to_string(shard) + "\"}");
-  x.queue_depth = &r.gauge("autogemm_serve_queue_depth" + label);
-  return &table.emplace(shard, x).first->second;
 }
 
 std::chrono::steady_clock::time_point to_time_point(std::uint64_t ns) {
@@ -241,7 +187,6 @@ Engine::Engine(Context& ctx, const EngineOptions& opts)
                           : std::max<std::size_t>(
                                 1, opts_.queue_capacity * 3 / 4)),
       paused_(opts_.start_paused) {
-  shard_obs_ = shard_obs_for(opts_.shard);
   retry_tokens_ = opts_.retry_budget_tokens;
   last_beat_ns_.store(common::now_ns(), std::memory_order_relaxed);
   try {
@@ -266,10 +211,6 @@ Engine::Engine(Context& ctx, const EngineOptions& opts)
       // queue exactly as before supervision existed. drain() still
       // recovers (it detects the dead dispatcher itself).
     }
-  }
-  {
-    std::lock_guard lock(mu_);
-    publish_state_locked();
   }
   if (opts_.enable_online_tuner) {
     // Constructed last so the tuner's background thread never observes a
@@ -341,7 +282,6 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
                       static_cast<std::uint64_t>(std::max(0, req.c.cols)));
   (req.lane == Lane::kInteractive ? o.submitted_interactive : o.submitted_bulk)
       ->add(1);
-  if (shard_obs_ != nullptr) shard_obs_->submitted->add(1);
 
   Pending p;
   p.req = req;
@@ -407,7 +347,6 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
       ++stats_.admitted;
       ++shape_requests_[shape];
       o.admitted->add(1);
-      if (shard_obs_ != nullptr) shard_obs_->admitted->add(1);
       p.breaker_probe = probe;
       run_inline = true;
     } else {
@@ -437,27 +376,21 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
         ++stats_.admitted;
         ++shape_requests_[shape];
         o.admitted->add(1);
-        if (shard_obs_ != nullptr) shard_obs_->admitted->add(1);
         p.enqueue_ns = common::now_ns();
         (req.lane == Lane::kInteractive ? interactive_ : bulk_)
             .push_back(std::move(p));
         stats_.max_queue_depth =
             std::max<std::uint64_t>(stats_.max_queue_depth, depth_locked());
-        publish_depth_locked();
+        publish_gauges_locked();
       }
     }
   }
   if (have_victim) {
     o.shed->add(1);
-    if (shard_obs_ != nullptr) {
-      shard_obs_->shed->add(1);
-      shard_obs_->displaced->add(1);
-    }
     finish(victim, shed_status());
   }
   if (reject_counter != nullptr) {
     reject_counter->add(1);
-    if (shard_obs_ != nullptr) shard_obs_->rejected->add(1);
     finish(p, reject);
     return fut;
   }
@@ -467,7 +400,6 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
     if (past_deadline(req, now)) {
       s = deadline_status(req, now);
       o.expired->add(1);
-      if (shard_obs_ != nullptr) shard_obs_->expired->add(1);
       std::lock_guard lock(mu_);
       ++stats_.expired;
       release_probe_locked(p);
@@ -479,9 +411,6 @@ std::future<Status> Engine::submit_internal(const GemmRequest& req,
       }
       o.dispatched_single->add(1);
       (s.ok() ? o.completed_ok : o.completed_error)->add(1);
-      if (shard_obs_ != nullptr)
-        (s.ok() ? shard_obs_->completed_ok : shard_obs_->completed_error)
-            ->add(1);
       std::lock_guard lock(mu_);
       ++stats_.single_dispatches;
       ++(s.ok() ? stats_.completed_ok : stats_.completed_error);
@@ -641,7 +570,7 @@ void Engine::set_breaker_state_locked(Breaker& b, Breaker::St to,
       o.breaker_closed->add(1);
       break;
   }
-  o.breakers_open->set(static_cast<double>(breakers_open_));
+  publish_gauges_locked();
 }
 
 void Engine::release_probe_locked(const Pending& p) {
@@ -670,14 +599,22 @@ void Engine::take_same_shape_locked(int m, int n, int k, common::DType dtype,
   }
 }
 
-void Engine::publish_depth_locked() {
-  const double depth = static_cast<double>(depth_locked());
-  serve_obs().queue_depth->set(depth);
-  if (shard_obs_ != nullptr) shard_obs_->queue_depth->set(depth);
-}
-
-void Engine::publish_state_locked() {
-  serve_obs().state->set(static_cast<double>(static_cast<int>(state_)));
+void Engine::publish_gauges_locked() {
+  // Process-wide gauges shared by every engine: each adds the change since
+  // its own last publish, so the gauge reads the sum over live engines. A
+  // stopped engine publishes zero, withdrawing its contribution.
+  const bool live = state_ != EngineState::kStopped;
+  const double depth = live ? static_cast<double>(depth_locked()) : 0.0;
+  const double open = live ? static_cast<double>(breakers_open_) : 0.0;
+  ServeObs& o = serve_obs();
+  if (depth != published_depth_) {
+    o.queue_depth->add(depth - published_depth_);
+    published_depth_ = depth;
+  }
+  if (open != published_breakers_open_) {
+    o.breakers_open->add(open - published_breakers_open_);
+    published_breakers_open_ = open;
+  }
 }
 
 void Engine::dispatcher_loop(std::uint64_t gen) {
@@ -759,10 +696,9 @@ void Engine::dispatcher_run(std::unique_lock<std::mutex>& lock,
         ++stats_.shed;
       }
       if (!victims.empty()) {
-        publish_depth_locked();
+        publish_gauges_locked();
         lock.unlock();
         serve_obs().shed->add(victims.size());
-        if (shard_obs_ != nullptr) shard_obs_->shed->add(victims.size());
         for (auto& v : victims) finish(v, shed_status());
         lock.lock();
         continue;
@@ -810,7 +746,7 @@ void Engine::dispatcher_run(std::unique_lock<std::mutex>& lock,
         take_same_shape_locked(m, n, k, dt, &batch);
       }
     }
-    publish_depth_locked();
+    publish_gauges_locked();
     dispatch_active_ = true;  // the monitor must not abandon us mid-GEMM
     beat();
     lock.unlock();
@@ -926,7 +862,7 @@ void Engine::degrade_to_inline_locked(std::unique_lock<std::mutex>& lock) {
     const GemmRequest& seed = batch.front().req;
     take_same_shape_locked(seed.c.rows, seed.c.cols, seed.a.cols, seed.dtype,
                            &batch);
-    publish_depth_locked();
+    publish_gauges_locked();
     lock.unlock();
     try {
       dispatch(std::move(batch));
@@ -934,7 +870,7 @@ void Engine::degrade_to_inline_locked(std::unique_lock<std::mutex>& lock) {
     }
     lock.lock();
   }
-  publish_depth_locked();
+  publish_gauges_locked();
   drained_ = true;  // queue empty and no dispatcher will ever serve again
   drain_cv_.notify_all();
 }
@@ -960,7 +896,6 @@ void Engine::dispatch(std::vector<Pending> batch) {
   }
   if (!expired.empty()) {
     o.expired->add(expired.size());
-    if (shard_obs_ != nullptr) shard_obs_->expired->add(expired.size());
     {
       std::lock_guard lock(mu_);
       stats_.expired += expired.size();
@@ -1046,7 +981,6 @@ void Engine::dispatch(std::vector<Pending> batch) {
       (s.ok() ? ok : failed) += grouped.size();
       for (std::size_t i : grouped) statuses[i] = s;
     }
-    o.batches->add(1);
     dtype_batches_counter(dt).add(1);
     o.dispatched_batched->add(grouped.size());
     o.batch_size->observe(static_cast<double>(grouped.size()));
@@ -1060,10 +994,6 @@ void Engine::dispatch(std::vector<Pending> batch) {
     o.dispatched_single->add(1);
     (statuses[i].ok() ? o.completed_ok : o.completed_error)->add(1);
     ++(statuses[i].ok() ? ok : failed);
-  }
-  if (shard_obs_ != nullptr) {
-    if (ok > 0) shard_obs_->completed_ok->add(ok);
-    if (failed > 0) shard_obs_->completed_error->add(failed);
   }
   {
     std::lock_guard lock(mu_);
@@ -1114,7 +1044,6 @@ Status Engine::drain(std::uint64_t timeout_ns) {
   if (state_ == EngineState::kRunning) {
     state_ = EngineState::kDraining;
     drain_start_ns_ = common::now_ns();
-    publish_state_locked();
     if (inline_mode() && depth_locked() == 0) drained_ = true;
     cv_.notify_all();
   }
@@ -1138,7 +1067,7 @@ Status Engine::drain(std::uint64_t timeout_ns) {
   }
   if (state_ != EngineState::kStopped) {
     state_ = EngineState::kStopped;
-    publish_state_locked();
+    publish_gauges_locked();
     o.drain_seconds->observe(
         static_cast<double>(common::now_ns() - drain_start_ns_) * 1e-9);
     drain_cv_.notify_all();

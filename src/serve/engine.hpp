@@ -32,7 +32,11 @@
 // Every admission decision and dispatch mirrors onto
 // obs::default_registry() (queue-depth gauge, admission/shed/expiry
 // counters, per-lane queue-latency and batch-size histograms) with
-// serve.submit / serve.batch / serve.dispatch trace spans.
+// serve.submit / serve.batch / serve.dispatch trace spans. The registry is
+// process-wide and unlabeled by engine: counters sum over every engine
+// (and every shard of a ShardedEngine), and the queue-depth and
+// open-breaker gauges read the sum over live engines. Per-engine numbers
+// are stats(), queue_depth() and state().
 //
 // Layering: serve depends on core (Context, batched), tune (the online
 // tuner it can own — see below) and obs/common; nothing below depends
@@ -147,11 +151,6 @@
 
 namespace autogemm::serve {
 
-/// Shard-labeled obs twin handles (engine.cpp internal; one set per shard
-/// index, resolved once and shared by every engine that serves that
-/// shard's label over the process lifetime).
-struct ShardObs;
-
 /// Priority lane. Interactive requests are served first; bulk requests
 /// age into priority (see EngineOptions::bulk_aging_ns) and are the
 /// first to be shed under overload.
@@ -200,13 +199,6 @@ struct EngineOptions {
   /// Construct with the dispatcher paused (tests build deterministic
   /// backlogs, then resume()).
   bool start_paused = false;
-  /// Shard index when this engine is one worker of a serve::ShardedEngine
-  /// (-1 = standalone). A shard-aware engine mirrors its admission and
-  /// completion accounting onto shard-labeled obs twins
-  /// (autogemm_serve_*{shard="i"}) and a per-shard queue-depth gauge, so
-  /// fleet dashboards can tell a hot shard from a degraded one. The
-  /// unlabeled aggregate metrics are unchanged.
-  int shard = -1;
   /// Best-effort CPU affinity for the dispatcher thread (and any respawn
   /// of it); empty = unpinned. The router fills this from
   /// hw::shard_core_assignment so a shard's dispatcher runs inside the
@@ -508,16 +500,13 @@ class Engine {
   std::size_t depth_locked() const {
     return interactive_.size() + bulk_.size();
   }
-  void publish_depth_locked();
-  void publish_state_locked();
+  /// Adds this engine's queue-depth and open-breaker changes since its
+  /// last publish to the process-wide gauges (zero once stopped).
+  void publish_gauges_locked();
 
   Context& ctx_;
   const EngineOptions opts_;
   const std::size_t shed_watermark_;
-  /// Shard-labeled obs twins; nullptr when opts_.shard < 0 (standalone).
-  /// Points into a process-wide per-shard table, never freed (same
-  /// lifetime contract as the registry handles themselves).
-  ShardObs* shard_obs_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;        // dispatcher wakeups
@@ -547,6 +536,9 @@ class Engine {
   // Breakers + retry budget (guarded by mu_).
   std::map<ShapeKey, Breaker> breakers_;
   std::size_t breakers_open_ = 0;
+  /// This engine's share of the process-wide gauges (guarded by mu_).
+  double published_depth_ = 0;
+  double published_breakers_open_ = 0;
   double retry_tokens_ = 0;
 
   /// Admitted requests per exact shape (guarded by mu_): the hot-shape

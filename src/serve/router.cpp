@@ -62,7 +62,6 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::create(
     ContextOptions copts = opts.context;
     EngineOptions eopts = opts.worker;
     eopts.enable_online_tuner = false;
-    eopts.shard = static_cast<int>(i);
     eopts.affinity_cpus.clear();
     if (opts.core_affinity) {
       se->shard_cpus_[i] = hw::shard_core_assignment(

@@ -77,8 +77,7 @@ struct ShardedEngineOptions {
   /// Per-shard Engine configuration. queue_capacity etc. are *per shard*:
   /// N shards admit N * queue_capacity in aggregate.
   /// worker.enable_online_tuner must be false (see enable_online_tuner
-  /// below); worker.shard and worker.affinity_cpus are overwritten per
-  /// shard by create().
+  /// below); worker.affinity_cpus is overwritten per shard by create().
   EngineOptions worker;
   /// Steal when home_depth + 1 >= ratio * (min_depth + 1) (the +1 keeps
   /// the test meaningful at empty queues). 0 disables stealing.

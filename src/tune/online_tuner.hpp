@@ -10,8 +10,9 @@
 //
 //   1. asks its HotShapeFn for the hottest shape buckets (the serve
 //      engine feeds this from per-shape *request accounting*, not from
-//      obs metric labels — the label set is FCFS-capped, so a shape that
-//      becomes hot late is invisible there; see set_shape_label_cap);
+//      obs metric labels — the label set is FCFS-capped at 128 shapes, so
+//      a shape that becomes hot late is invisible there; see
+//      core/context.hpp);
 //   2. skips shapes that already resolve through an exact record
 //      (Context::has_exact_record);
 //   3. runs a budgeted search for each remaining top-K shape: the full

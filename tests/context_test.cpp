@@ -2,6 +2,10 @@
 // invalidation, and concurrent use.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -381,29 +385,45 @@ TEST(Context, PublishRefreshesNearestNeighborViaGeneration) {
 }
 
 TEST(Context, ShapeLabelCapIsConfigurable) {
-  // With the cap forced to zero, a never-seen shape must land in the
-  // "other" bucket instead of minting a new labeled series; previously
-  // admitted labels keep theirs (FCFS — lowering never evicts).
-  const std::size_t saved = shape_label_cap();
-  set_shape_label_cap(0);
-  EXPECT_EQ(shape_label_cap(), 0u);
+  // The shape-label cap is a constant 128, first-come-first-served over the
+  // process: after at most 129 never-seen shapes, a new shape must land in
+  // the "other" series instead of minting a labeled one, and no dtype's
+  // latency series may carry more than 128 dedicated shape labels.
+  constexpr std::size_t kCap = 128;
   obs::Registry& reg = obs::default_registry();
   obs::Histogram& other =
-      reg.histogram("autogemm_gemm_seconds{shape=\"other\"}");
-  obs::Histogram& dedicated =
-      reg.histogram("autogemm_gemm_seconds{shape=\"991x7x3\"}");
+      reg.histogram("autogemm_gemm_seconds{shape=\"other\",dtype=\"f32\"}");
   const std::uint64_t other_before = other.snapshot().count;
-  const std::uint64_t dedicated_before = dedicated.snapshot().count;
   ContextOptions opts;
   opts.threads = 1;
   Context ctx(opts);
-  Problem p(991, 7, 3);
-  ASSERT_OK(ctx.run(p.a.view(), p.b.view(), p.c.view(), overwrite()));
-  EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
-  EXPECT_GT(other.snapshot().count, other_before);
-  EXPECT_EQ(dedicated.snapshot().count, dedicated_before);
-  set_shape_label_cap(saved);
-  EXPECT_EQ(shape_label_cap(), saved);
+  std::size_t fresh = 0;
+  while (fresh <= kCap && other.snapshot().count == other_before) {
+    // 3 x 2 x (4001 + i): shapes no other test runs.
+    Problem p(3, 2, 4001 + static_cast<int>(fresh), 7);
+    ASSERT_OK(ctx.run(p.a.view(), p.b.view(), p.c.view(), overwrite()));
+    EXPECT_LT(p.error(), testutil::gemm_tolerance(p.k_depth));
+    ++fresh;
+  }
+  EXPECT_EQ(other.snapshot().count, other_before + 1)
+      << "no fresh shape reached \"other\" after " << fresh;
+
+  std::map<std::string, std::set<std::string>> shapes_by_dtype;
+  std::istringstream prom(reg.prometheus_text());
+  const std::string prefix = "autogemm_gemm_seconds_count{shape=\"";
+  for (std::string line; std::getline(prom, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::size_t shape_end = line.find('"', prefix.size());
+    const std::string shape =
+        line.substr(prefix.size(), shape_end - prefix.size());
+    const std::size_t dtype_at = line.find("dtype=\"") + 7;
+    const std::string dtype =
+        line.substr(dtype_at, line.find('"', dtype_at) - dtype_at);
+    if (shape != "other") shapes_by_dtype[dtype].insert(shape);
+  }
+  ASSERT_FALSE(shapes_by_dtype["f32"].empty());
+  for (const auto& [dtype, shapes] : shapes_by_dtype)
+    EXPECT_LE(shapes.size(), kCap) << dtype;
 }
 
 TEST(Sgemm, RowMajorBlasShim) {

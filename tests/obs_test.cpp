@@ -1,16 +1,23 @@
 // obs subsystem: metric exactness under concurrency, histogram bucket
-// geometry, exporter formats, span ring semantics, and the integration
-// paths (Context counters, sim virtual timeline). The tracer is process
+// geometry, exporter formats, span ring semantics, the integration paths
+// (Context counters, sim virtual timeline), and the one-family-per-quantity
+// rule over the whole default registry. The tracer is process
 // state shared with other suites, so every tracing test runs through
 // TraceFixture, which saves and restores the enabled flag and lane
 // capacity and clears retained spans on both sides.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
+#include <map>
+#include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "backend/backend_id.hpp"
 #include "codegen/generator.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
@@ -18,6 +25,8 @@
 #include "hw/chip_database.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/engine.hpp"
+#include "serve/router.hpp"
 #include "sim/pipeline.hpp"
 
 namespace autogemm {
@@ -244,15 +253,17 @@ TEST_F(ObsTrace, WorkerLaneNaming) {
 // ----------------------------------------------------------- integration
 
 TEST_F(ObsTrace, ContextRunFeedsDefaultRegistry) {
-  obs::Registry& reg = obs::default_registry();
-  const std::uint64_t calls0 = reg.counter("autogemm_gemm_calls_total").value();
-  const std::uint64_t serial0 =
-      reg.counter("autogemm_strategy_total{strategy=\"serial\"}").value();
-  const std::uint64_t flops0 = reg.counter("autogemm_gemm_flops_total").value();
-
   ContextOptions opts;
   opts.threads = 1;
   Context ctx(opts);
+  obs::Registry& reg = obs::default_registry();
+  obs::Counter& serial = reg.counter(
+      "autogemm_strategy_total{strategy=\"serial\",backend=\"" +
+      std::string(backend::backend_name(ctx.backend_id())) + "\"}");
+  const std::uint64_t calls0 = reg.counter("autogemm_gemm_calls_total").value();
+  const std::uint64_t serial0 = serial.value();
+  const std::uint64_t flops0 = reg.counter("autogemm_gemm_flops_total").value();
+
   const int m = 24, n = 20, k = 16;
   common::Matrix a(m, k), b(k, n), c(m, n);
   common::fill_random(a.view(), 1);
@@ -261,14 +272,13 @@ TEST_F(ObsTrace, ContextRunFeedsDefaultRegistry) {
   ASSERT_TRUE(ctx.run(a.view(), b.view(), c.view()).ok());
 
   EXPECT_EQ(reg.counter("autogemm_gemm_calls_total").value(), calls0 + 2);
-  EXPECT_EQ(
-      reg.counter("autogemm_strategy_total{strategy=\"serial\"}").value(),
-      serial0 + 2);
+  EXPECT_EQ(serial.value(), serial0 + 2);
   EXPECT_EQ(reg.counter("autogemm_gemm_flops_total").value(),
             flops0 + 2ull * 2 * m * n * k);
   // The per-shape latency histogram materialised and saw both calls.
   const std::string prom = reg.prometheus_text();
-  EXPECT_NE(prom.find("shape=\"24x20x16\""), std::string::npos);
+  EXPECT_NE(prom.find("shape=\"24x20x16\",dtype=\"f32\""),
+            std::string::npos);
 }
 
 TEST_F(ObsTrace, TracedContextRunEmitsPhaseSpans) {
@@ -314,6 +324,158 @@ TEST_F(ObsTrace, SimulatorEmitsVirtualTimeline) {
   EXPECT_NE(j.find("\"mainloop\""), std::string::npos);
   EXPECT_NE(j.find("\"epilogue\""), std::string::npos);
   EXPECT_NE(j.find("\"sim-kernel\""), std::string::npos);
+}
+
+// ------------------------------------------------------ metric families
+
+/// A parsed Prometheus exposition: every sample by series name, and per
+/// family (the base name on its `# TYPE` line) the label-key sets its
+/// series carry (`le` dropped) and how many TYPE lines named it.
+struct Exposition {
+  std::map<std::string, double> samples;
+  std::map<std::string, std::set<std::set<std::string>>> label_keys;
+  std::map<std::string, int> type_lines;
+
+  /// Sum over every series of `name`, whatever its labels.
+  double sum(const std::string& name) const {
+    double total = 0;
+    for (const auto& [series, v] : samples)
+      if (series.substr(0, series.find('{')) == name) total += v;
+    return total;
+  }
+};
+
+Exposition parse_prometheus(const std::string& text) {
+  Exposition e;
+  std::istringstream in(text);
+  std::string line, family;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      family = line.substr(7, line.find(' ', 7) - 7);
+      ++e.type_lines[family];
+      continue;
+    }
+    const std::size_t sp = line.rfind(' ');
+    const std::string series = line.substr(0, sp);
+    e.samples[series] = std::stod(line.substr(sp + 1));
+    std::set<std::string> keys;
+    // key="value" pairs; no value this library exports holds a quote.
+    std::size_t pos = series.find('{');
+    while (pos != std::string::npos && series[pos] != '}') {
+      const std::size_t eq = series.find('=', pos + 1);
+      const std::string key = series.substr(pos + 1, eq - pos - 1);
+      if (key != "le") keys.insert(key);
+      pos = series.find('"', eq + 2) + 1;  // ',' or '}'
+    }
+    e.label_keys[family].insert(keys);
+  }
+  return e;
+}
+
+/// One metric family per quantity: every family exports one label-key set
+/// under one TYPE line, so a sum over a family counts each event once.
+/// Drives every instrumented layer in one process (a serial Context, a
+/// standalone Engine, a 2-shard ShardedEngine, two paused Engines), then
+/// checks the whole registry and the sums against the layers' own stats.
+TEST(ObsFamilies, OneLabelKeySetPerFamilyAndSumsMatchTheTruth) {
+  obs::Registry& reg = obs::default_registry();
+  const Exposition before = parse_prometheus(reg.prometheus_text());
+  obs::Gauge& depth = reg.gauge("autogemm_serve_queue_depth");
+  // Calls that time one latency sample: every fp32 plan execution (one
+  // ContextStats strategy increment each; run_batched members are not
+  // timed) plus every int8 call (int8 has no batched path).
+  std::uint64_t non_batched = 0;
+  std::uint64_t i8_calls = 0;
+  std::uint64_t submitted = 0;
+  const auto fp32_executions = [](const Context& c) {
+    const ContextStats st = c.stats();
+    return st.strategy_serial + st.strategy_blocks + st.strategy_ksplit;
+  };
+
+  ContextOptions copts;
+  copts.threads = 1;
+  Context ctx(copts);
+  common::Matrix a(24, 16), b(16, 20);
+  common::fill_random(a.view(), 11);
+  common::fill_random(b.view(), 12);
+  std::vector<std::unique_ptr<common::Matrix>> cs;
+  const auto fresh_c = [&cs] {
+    cs.push_back(std::make_unique<common::Matrix>(24, 20));
+    return cs.back()->view();
+  };
+  ASSERT_TRUE(ctx.run(a.view(), b.view(), fresh_c()).ok());
+  ASSERT_TRUE(ctx.run_i8(a.view(), b.view(), fresh_c(), 1.0f, 0.0f).ok());
+  ASSERT_TRUE(ctx.run_batched({BatchItem{a.view(), b.view(), fresh_c()},
+                               BatchItem{a.view(), b.view(), fresh_c()}})
+                  .ok());
+  ++i8_calls;
+
+  const auto request = [&](int i) {
+    serve::GemmRequest r;
+    r.a = a.view();
+    r.b = b.view();
+    r.c = fresh_c();
+    r.dtype = common::DType::kF32;
+    if (i % 4 == 3) {
+      r.dtype = common::DType::kI8;
+      ++i8_calls;
+    }
+    return r;
+  };
+  {
+    serve::Engine engine(ctx);
+    std::vector<std::future<Status>> fs;
+    for (int i = 0; i < 6; ++i) fs.push_back(engine.submit(request(i)));
+    for (auto& f : fs) ASSERT_TRUE(f.get().ok());
+    engine.shutdown();
+    submitted += engine.stats().submitted;
+  }
+  {
+    serve::ShardedEngineOptions o;
+    o.shards = 2;
+    o.context.threads = 1;
+    auto fleet = serve::ShardedEngine::create(o).value();
+    std::vector<std::future<Status>> fs;
+    for (int i = 0; i < 40; ++i) fs.push_back(fleet->submit(request(i)));
+    for (auto& f : fs) ASSERT_TRUE(f.get().ok());
+    ASSERT_TRUE(fleet->drain().ok());
+    const serve::ServerStats agg = fleet->stats().aggregate;
+    ASSERT_TRUE(agg.accounting_clean());
+    submitted += agg.submitted;
+    for (std::size_t i = 0; i < fleet->shards(); ++i)
+      non_batched += fp32_executions(fleet->shard_context(i));
+  }
+  {
+    // The depth gauge is the sum over live engines, not the last writer.
+    const double depth0 = depth.value();
+    serve::EngineOptions po;
+    po.start_paused = true;
+    serve::Engine e1(ctx, po), e2(ctx, po);
+    std::vector<std::future<Status>> fs;
+    for (int i = 0; i < 3; ++i) fs.push_back(e1.submit(request(0)));
+    fs.push_back(e2.submit(request(0)));
+    EXPECT_EQ(depth.value(), depth0 + 4);
+    e1.resume();
+    e2.resume();
+    for (auto& f : fs) ASSERT_TRUE(f.get().ok());
+    e1.shutdown();
+    e2.shutdown();
+    EXPECT_EQ(depth.value(), depth0);  // stopped engines withdraw
+    submitted += e1.stats().submitted + e2.stats().submitted;
+  }
+  non_batched += fp32_executions(ctx) + i8_calls;
+
+  const Exposition after = parse_prometheus(reg.prometheus_text());
+  for (const auto& [family, key_sets] : after.label_keys) {
+    EXPECT_EQ(key_sets.size(), 1u) << family << " exports twin label sets";
+    EXPECT_EQ(after.type_lines.at(family), 1) << family;
+  }
+  EXPECT_EQ(after.sum("autogemm_gemm_seconds_count") -
+                before.sum("autogemm_gemm_seconds_count"),
+            static_cast<double>(non_batched));
+  EXPECT_EQ(after.sum("autogemm_serve_submitted_total") -
+                before.sum("autogemm_serve_submitted_total"),
+            static_cast<double>(submitted));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // reference, portable-vs-SIMD bit identity, the Context entry points and
 // their packed-cache/invalidate contract, the tuning-records dtype axis
 // (never cross-resolving), serve's (shape, dtype) bucketing, the obs
-// dtype label twins, and the transformer block that strings the GEMM
+// dtype labels, and the transformer block that strings the GEMM
 // census together.
 #include <gtest/gtest.h>
 
@@ -373,7 +373,7 @@ TEST(ServeQuant, HotShapesAggregateAcrossDTypes) {
 }
 
 // ---------------------------------------------------------------------
-// Obs: dtype label twins
+// Obs: dtype labels
 
 TEST(ObsQuant, GemmSecondsDtypeTwinsObserveOnMatchingTier) {
   // A process-unique shape so this test owns its label (the FCFS cap set
@@ -403,8 +403,8 @@ TEST(ObsQuant, ServeBatchCounterDtypeTwinSplitsByTier) {
   auto& reg = obs::default_registry();
   const std::uint64_t i8_before =
       reg.counter("autogemm_serve_batches_total{dtype=\"i8\"}").value();
-  const std::uint64_t all_before =
-      reg.counter("autogemm_serve_batches_total").value();
+  const std::uint64_t f32_before =
+      reg.counter("autogemm_serve_batches_total{dtype=\"f32\"}").value();
 
   Context ctx(ContextOptions{});
   serve::EngineOptions opts;
@@ -431,8 +431,8 @@ TEST(ObsQuant, ServeBatchCounterDtypeTwinSplitsByTier) {
 
   EXPECT_EQ(reg.counter("autogemm_serve_batches_total{dtype=\"i8\"}").value(),
             i8_before + 1);
-  EXPECT_EQ(reg.counter("autogemm_serve_batches_total").value(),
-            all_before + 1);
+  EXPECT_EQ(reg.counter("autogemm_serve_batches_total{dtype=\"f32\"}").value(),
+            f32_before);
 }
 
 // ---------------------------------------------------------------------

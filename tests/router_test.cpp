@@ -1,6 +1,6 @@
 // serve::ShardedEngine: routing determinism, bounded stealing, the
 // single-tuner ownership rule, per-shard failure isolation, merged
-// hot-shape accounting, shard-labeled obs twins, the hw core-slice
+// hot-shape accounting, fleet-wide obs metrics, the hw core-slice
 // assignment, and the open-loop load generator.
 #include <gtest/gtest.h>
 
@@ -274,11 +274,11 @@ TEST(Router, ShardDegradeStaysIsolated) {
 }
 
 TEST(Router, ShardLabeledMetricsMirrorStats) {
+  // Serve metrics carry no shard label: each family sums over the fleet
+  // (per-shard numbers are ShardedStats::shards[i]).
   obs::Registry& r = obs::default_registry();
-  const std::uint64_t sub0 =
-      r.counter("autogemm_serve_submitted_total{shard=\"0\"}").value();
-  const std::uint64_t sub1 =
-      r.counter("autogemm_serve_submitted_total{shard=\"1\"}").value();
+  const std::uint64_t admitted0 =
+      r.counter("autogemm_serve_admitted_total").value();
   const std::uint64_t routed0 =
       r.counter("autogemm_serve_routed_total").value();
   const std::uint64_t steals0 =
@@ -294,20 +294,14 @@ TEST(Router, ShardLabeledMetricsMirrorStats) {
   for (auto& f : fs) EXPECT_TRUE(f.get().ok());
   EXPECT_TRUE(se->drain().ok());
   const ShardedStats ss = se->stats();
-  // Twin counters advanced by exactly what the per-shard stats report.
-  EXPECT_EQ(
-      r.counter("autogemm_serve_submitted_total{shard=\"0\"}").value() - sub0,
-      ss.shards[0].submitted);
-  EXPECT_EQ(
-      r.counter("autogemm_serve_submitted_total{shard=\"1\"}").value() - sub1,
-      ss.shards[1].submitted);
+  EXPECT_EQ(r.counter("autogemm_serve_admitted_total").value() - admitted0,
+            ss.aggregate.admitted);
   EXPECT_EQ(r.counter("autogemm_serve_routed_total").value() - routed0,
             ss.routed);
   EXPECT_EQ(r.counter("autogemm_serve_steals_total").value() - steals0,
             ss.steals);
-  // The per-shard depth gauges exist and read empty after the drain.
-  EXPECT_EQ(r.gauge("autogemm_serve_queue_depth{shard=\"0\"}").value(), 0.0);
-  EXPECT_EQ(r.gauge("autogemm_serve_queue_depth{shard=\"1\"}").value(), 0.0);
+  // Drained shards withdraw from the fleet-wide depth gauge.
+  EXPECT_EQ(r.gauge("autogemm_serve_queue_depth").value(), 0.0);
 }
 
 TEST(Hw, ShardCoreAssignmentSnapsToGroups) {

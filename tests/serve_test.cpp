@@ -421,7 +421,8 @@ TEST(Serve, CallbackFlavorCompletesExactlyOnce) {
 TEST(Serve, MetricsMirrorEngineActivity) {
   obs::Registry& reg = obs::default_registry();
   obs::Counter& admitted = reg.counter("autogemm_serve_admitted_total");
-  obs::Counter& batches = reg.counter("autogemm_serve_batches_total");
+  obs::Counter& batches =
+      reg.counter("autogemm_serve_batches_total{dtype=\"f32\"}");
   obs::Histogram& qlat =
       reg.histogram("autogemm_serve_queue_seconds{lane=\"bulk\"}");
   obs::Gauge& depth = reg.gauge("autogemm_serve_queue_depth");

@@ -112,6 +112,20 @@ for config in "${configs[@]}"; do
         --require pack_a,kernel,reduce
       grep -q 'autogemm_gemm_calls_total' build/obs_smoke_metrics.prom
       grep -q 'autogemm_gemm_seconds_bucket' build/obs_smoke_metrics.prom
+      # One metric family per quantity: each family has one `# TYPE` line
+      # and all its series share one label-key set (`le` aside), so a sum
+      # over a family counts every event once.
+      python3 -c '
+import re, sys, collections
+types, keys, fam = collections.Counter(), collections.defaultdict(set), None
+for line in open(sys.argv[1]):
+    if line.startswith("# TYPE "):
+        fam = line.split()[2]; types[fam] += 1; continue
+    series = line.rsplit(" ", 1)[0]
+    keys[fam].add(frozenset(re.findall(r"(\w+)=\"", series)) - {"le"})
+bad = [f for f in keys if types[f] != 1 or len(keys[f]) != 1]
+sys.exit("metric families with twin series: " + ", ".join(bad) if bad else 0)
+' build/obs_smoke_metrics.prom
       echo "==== [release] obs overhead bench (non-gating) ===="
       ./build/bench/bench_obs_overhead --json-out build/bench_obs_overhead.json \
         || true
