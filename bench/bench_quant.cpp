@@ -1,5 +1,5 @@
 // Quantized-GEMM bench: int8 widening-accumulate tier vs the fp32 host
-// tier, accuracy vs an fp64 reference (BENCH_quant.json — ROADMAP item 2).
+// tier, accuracy vs an fp64 reference (BENCH_quant.json).
 //
 // Both tiers get the serving treatment: B (the weight matrix) is packed
 // offline once and reused; A (the activations) is consumed per call — the
@@ -9,9 +9,13 @@
 // The CI-gating `quant acceptance` line requires, on every compute-bound
 // shape: max rel-err vs the fp64-accumulating reference <= 1e-2 (the
 // documented accuracy contract of quant/qgemm.hpp) AND int8 wall-clock
-// speedup >= 1.3x over fp32. The irregular/skinny shapes are reported for
-// the curve but only gated on accuracy — memory-bound skinny-M decode
-// GEMMs win on bytes, not ALU throughput, and their speedup is noisier.
+// speedup >= 1.3x over fp32. The speedup is the median of the per-rep
+// fp32/int8 ratios of back-to-back pairs, so a slow stretch of the host
+// moves both halves of a pair instead of one side's median. The
+// irregular/skinny shapes are reported for the curve but only gated on
+// accuracy — memory-bound skinny-M decode GEMMs win on bytes, not ALU
+// throughput, so they also report the weight bytes each tier streams per
+// second (GB/s), the unit a bandwidth-bound GEMM is judged in.
 //
 //   build/bench/bench_quant [--repeats N] [--json-out F]
 #include <cstdint>
@@ -53,14 +57,15 @@ constexpr double kSpeedupGate = 1.3;
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv, 1, 5);
-  bench::header("quantized GEMM: int8 widening tier vs fp32 host tier");
-  std::printf("simd widening path: %s\n",
-              kernels::qgemm_has_simd() ? "yes (pmaddwd)" : "no (portable)");
+  bench::header("quantized GEMM: int8 tier vs fp32 host tier");
+  const char* tier = kernels::qtier_name(kernels::qgemm_tier());
+  std::printf("int8 kernel tier: %s\n", tier);
 
   bool pass = true;
   std::string rows_json;
-  std::printf("%6s %6s %6s  %10s %10s %8s  %9s  %s\n", "M", "N", "K",
-              "fp32 (s)", "int8 (s)", "speedup", "rel-err", "gate");
+  std::printf("%6s %6s %6s  %10s %10s %8s  %15s  %9s  %s\n", "M", "N", "K",
+              "fp32 (s)", "int8 (s)", "speedup", "GB/s fp32/int8", "rel-err",
+              "gate");
   for (const Shape& s : kShapes) {
     common::Matrix a(s.m, s.k), b(s.k, s.n);
     common::fill_random(a.view(), 0x9e3779b9u + static_cast<unsigned>(s.m));
@@ -105,46 +110,58 @@ int main(int argc, char** argv) {
       fn();
       return static_cast<double>(common::now_ns() - t0) * 1e-9;
     };
-    std::vector<double> f32_reps, i8_reps;
+    std::vector<double> f32_reps, i8_reps, ratios;
     for (int i = 0; i < args.repeats; ++i) {
       f32_reps.push_back(warm_then_time(run_f32));
       i8_reps.push_back(warm_then_time(run_i8));
+      if (i8_reps.back() > 0.0)
+        ratios.push_back(f32_reps.back() / i8_reps.back());
     }
     const double t_f32 = bench::median(f32_reps);
     const double t_i8 = bench::median(i8_reps);
+    const double speedup = ratios.empty() ? 0.0 : bench::median(ratios);
+    // Weight bytes streamed per second on the skinny decode shapes: B is
+    // K x N, 4 bytes an element in fp32 and 1 in int8.
+    const bool skinny = s.m <= 8;
+    const double weights = static_cast<double>(s.k) * s.n;
+    const double gbps_f32 = skinny ? 4.0 * weights / t_f32 * 1e-9 : 0.0;
+    const double gbps_i8 = skinny ? weights / t_i8 * 1e-9 : 0.0;
+    char gbps[32] = "-";
+    if (skinny)
+      std::snprintf(gbps, sizeof gbps, "%.1f/%.1f", gbps_f32, gbps_i8);
 
     common::reference_gemm(a.view(), b.view(), c_ref.view());
     const double rel_err =
         common::rel_frobenius_error(c_i8.view(), c_ref.view());
-    const double speedup = t_i8 > 0.0 ? t_f32 / t_i8 : 0.0;
 
     const bool acc_ok = rel_err <= kRelErrBound;
     const bool perf_ok = !s.compute_bound || speedup >= kSpeedupGate;
     pass = pass && acc_ok && perf_ok;
-    std::printf("%6d %6d %6d  %10.6f %10.6f %7.2fx  %9.2e  %s%s\n", s.m, s.n,
-                s.k, t_f32, t_i8, speedup, rel_err,
+    std::printf("%6d %6d %6d  %10.6f %10.6f %7.2fx  %15s  %9.2e  %s%s\n",
+                s.m, s.n, s.k, t_f32, t_i8, speedup, gbps, rel_err,
                 acc_ok && perf_ok ? "ok" : "FAIL",
                 s.compute_bound ? " [compute-bound]" : "");
 
-    char row[256];
+    char row[320];
     std::snprintf(row, sizeof(row),
                   "%s{\"m\": %d, \"n\": %d, \"k\": %d, \"compute_bound\": %s, "
                   "\"fp32_s\": %.9f, \"int8_s\": %.9f, \"speedup\": %.3f, "
+                  "\"fp32_weight_gbps\": %.3f, \"int8_weight_gbps\": %.3f, "
                   "\"rel_err\": %.3e}",
                   rows_json.empty() ? "" : ", ", s.m, s.n, s.k,
                   s.compute_bound ? "true" : "false", t_f32, t_i8, speedup,
-                  rel_err);
+                  gbps_f32, gbps_i8, rel_err);
     rows_json += row;
   }
 
   std::printf("\nquant acceptance: %s (rel-err <= %.0e on all shapes, "
-              "speedup >= %.1fx on compute-bound)\n",
+              "median paired speedup >= %.1fx on compute-bound)\n",
               pass ? "PASS" : "FAIL", kRelErrBound, kSpeedupGate);
 
   if (!args.json_out.empty()) {
-    std::string json = "{\"bench\": \"quant\", \"simd\": ";
-    json += kernels::qgemm_has_simd() ? "true" : "false";
-    json += ", \"rel_err_bound\": 1e-2, \"speedup_gate\": 1.3, \"pass\": ";
+    std::string json = "{\"bench\": \"quant\", \"tier\": \"";
+    json += tier;
+    json += "\", \"rel_err_bound\": 1e-2, \"speedup_gate\": 1.3, \"pass\": ";
     json += pass ? "true" : "false";
     json += ", \"shapes\": [" + rows_json + "]}";
     bench::write_json_file(args.json_out, bench::with_metrics(json));

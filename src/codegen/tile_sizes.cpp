@@ -4,11 +4,6 @@
 
 namespace autogemm::codegen {
 
-int registers_needed(int mr, int nr, int lanes) {
-  const int vnr = (nr + lanes - 1) / lanes;
-  return mr * vnr + mr + vnr;
-}
-
 bool tile_feasible(int mr, int nr, int lanes, int max_registers) {
   if (mr < 1 || nr < lanes || nr % lanes != 0) return false;
   return registers_needed(mr, nr, lanes) <= max_registers;
@@ -43,11 +38,6 @@ bool sve_tile_feasible(int mr, int nr, int vl_min, int max_registers) {
   if (groups > 7) return false;  // governing predicates p1..p7
   if (mr > 10) return false;     // row pointers + whilelt temps in GP file
   return mr * groups + mr + groups <= max_registers;
-}
-
-double ai_max(int mr, int nr) {
-  if (mr <= 0 || nr <= 0) throw std::invalid_argument("ai_max: bad tile");
-  return 2.0 * mr * nr / (mr + nr);
 }
 
 double ai_finite(int mr, int nr, int kc, int lanes) {

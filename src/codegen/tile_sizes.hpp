@@ -2,6 +2,7 @@
 // (Section III-A, Table II, Eqns 2-3 of the paper).
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
 namespace autogemm::codegen {
@@ -22,7 +23,10 @@ inline constexpr int kVectorRegisters = 32;
 /// mr*ceil(nr/lanes) accumulators + mr A registers + ceil(nr/lanes) B
 /// registers. Feasible iff this fits in the 32-register file. Reproduces
 /// exactly the dashes in Table II (e.g. 4x24 and 5x20 are infeasible).
-int registers_needed(int mr, int nr, int lanes);
+constexpr int registers_needed(int mr, int nr, int lanes) {
+  const int vnr = (nr + lanes - 1) / lanes;
+  return mr * vnr + mr + vnr;
+}
 bool tile_feasible(int mr, int nr, int lanes,
                    int max_registers = kVectorRegisters);
 
@@ -51,7 +55,10 @@ bool sve_tile_feasible(int mr, int nr, int vl_min,
                        int max_registers = kVectorRegisters);
 
 /// Eqn 2: AI_max = 2*mr*nr / (mr + nr) — the kc->inf limit.
-double ai_max(int mr, int nr);
+constexpr double ai_max(int mr, int nr) {
+  if (mr <= 0 || nr <= 0) throw std::invalid_argument("ai_max: bad tile");
+  return 2.0 * mr * nr / (mr + nr);
+}
 
 /// Eqn 3: finite-kc arithmetic intensity, counting the C load+store, the A
 /// loads (mr per unrolled block) and the B loads (one vector per lane step):

@@ -4,7 +4,12 @@
 #include <cmath>
 #include <cstring>
 
+#include "codegen/tile_sizes.hpp"
 #include "simd/vec.hpp"  // for the AUTOGEMM_SIMD_* platform guards
+
+#if defined(AUTOGEMM_SIMD_SSE) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 namespace autogemm::kernels {
 
@@ -41,33 +46,20 @@ void qpack_rows(common::ConstMatrixView src, const float* row_scales,
 }
 
 void qpack_cols(common::ConstMatrixView src, const float* col_scales,
-                std::int8_t* dst, long dst_ld) {
+                std::int8_t* dst, long dst_ld, std::int32_t* col_sums) {
   assert(dst_ld >= qpacked_ld(src.rows));
   for (int c = 0; c < src.cols; ++c) {
     std::int8_t* drow = dst + static_cast<long>(c) * dst_ld;
     const float inv = col_scales[c] > 0.0f ? 1.0f / col_scales[c] : 0.0f;
-    for (int k = 0; k < src.rows; ++k)
+    std::int32_t sum = 0;
+    for (int k = 0; k < src.rows; ++k) {
       drow[k] = quantize_inv(src.at(k, c), inv);
+      sum += drow[k];
+    }
+    col_sums[c] = sum;
     std::memset(drow + src.rows, 0,
                 static_cast<std::size_t>(dst_ld - src.rows));
   }
-}
-
-void qpack_rows_i16(common::ConstMatrixView src, const float* row_scales,
-                    std::int16_t* dst, long dst_ld) {
-  assert(dst_ld >= qpacked_ld(src.cols));
-  for (int r = 0; r < src.rows; ++r) {
-    std::int16_t* drow = dst + static_cast<long>(r) * dst_ld;
-    const float inv = row_scales[r] > 0.0f ? 1.0f / row_scales[r] : 0.0f;
-    const float* srow = src.data + static_cast<long>(r) * src.ld;
-    for (int k = 0; k < src.cols; ++k) drow[k] = quantize_inv(srow[k], inv);
-    for (long k = src.cols; k < dst_ld; ++k) drow[k] = 0;
-  }
-}
-
-void qwiden_pack(const std::int8_t* src, std::int16_t* dst, long count,
-                 long ld) {
-  for (long i = 0; i < count * ld; ++i) dst[i] = src[i];
 }
 
 void qgemm_block_portable(int rows, int cols, int kc, const std::int8_t* a,
@@ -87,9 +79,9 @@ void qgemm_block_portable(int rows, int cols, int kc, const std::int8_t* a,
   }
 }
 
-#if defined(AUTOGEMM_SIMD_SSE)
-
 namespace {
+
+#if defined(AUTOGEMM_SIMD_SSE)
 
 /// Sign-extends 16 int8 lanes into two int16x8 registers. The unpack-with-
 /// self + arithmetic-shift idiom is the SSE2 spelling of sxtl/sxtl2.
@@ -104,13 +96,11 @@ inline std::int32_t hsum_epi32(__m128i v) {
   return _mm_cvtsi128_si32(v);
 }
 
-}  // namespace
-
-bool qgemm_has_simd() { return true; }
-
-void qgemm_block(int rows, int cols, int kc, const std::int8_t* a, long lda,
-                 const std::int8_t* b, long ldb, std::int32_t* acc,
-                 long ldacc) {
+/// The x86 fallback without VNNI: int8 widened to int16 in the loop, then
+/// pmaddwd.
+void qgemm_block_sse2(int rows, int cols, int kc, const std::int8_t* a,
+                      long lda, const std::int8_t* b, long ldb,
+                      std::int32_t* acc, long ldacc) {
   // The packers pad both leading dimensions to kQKStep and zero the tails,
   // so streaming ceil(kc / 16) whole chunks is exact — zero lanes
   // contribute nothing.
@@ -235,137 +225,235 @@ void qgemm_block(int rows, int cols, int kc, const std::int8_t* a, long lda,
   }
 }
 
-void qgemm_block_i16(int rows, int cols, int kc, const std::int16_t* a,
-                     long lda, const std::int16_t* b, long ldb,
-                     std::int32_t* acc, long ldacc) {
-  // Chunks of 8 int16 lanes; the packed ld (multiple of kQKStep = 16) and
-  // zeroed tails keep whole-chunk streaming exact.
-  const int kchunks = static_cast<int>((kc + 7) / 8);
-  assert(lda >= static_cast<long>(kchunks) * 8);
-  assert(ldb >= static_cast<long>(kchunks) * 8);
-  int r = 0;
-  for (; r + 2 <= rows; r += 2) {
-    const std::int16_t* a0 = a + static_cast<long>(r) * lda;
-    const std::int16_t* a1 = a0 + lda;
-    std::int32_t* acc0row = acc + static_cast<long>(r) * ldacc;
-    std::int32_t* acc1row = acc0row + ldacc;
-    int c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      const std::int16_t* bp[4] = {b + static_cast<long>(c) * ldb,
-                                   b + static_cast<long>(c + 1) * ldb,
-                                   b + static_cast<long>(c + 2) * ldb,
-                                   b + static_cast<long>(c + 3) * ldb};
-      __m128i s0[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
-                       _mm_setzero_si128(), _mm_setzero_si128()};
-      __m128i s1[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
-                       _mm_setzero_si128(), _mm_setzero_si128()};
-      for (int ch = 0; ch < kchunks; ++ch) {
-        const long off = static_cast<long>(ch) * 8;
-        const __m128i av0 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a0 + off));
-        const __m128i av1 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a1 + off));
-        for (int j = 0; j < 4; ++j) {
-          const __m128i bv =
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(bp[j] + off));
-          s0[j] = _mm_add_epi32(s0[j], _mm_madd_epi16(av0, bv));
-          s1[j] = _mm_add_epi32(s1[j], _mm_madd_epi16(av1, bv));
-        }
-      }
-      for (int j = 0; j < 4; ++j) {
-        acc0row[c + j] = hsum_epi32(s0[j]);
-        acc1row[c + j] = hsum_epi32(s1[j]);
-      }
-    }
-    for (; c < cols; ++c) {
-      const std::int16_t* bcol = b + static_cast<long>(c) * ldb;
-      __m128i sv0 = _mm_setzero_si128(), sv1 = _mm_setzero_si128();
-      for (int ch = 0; ch < kchunks; ++ch) {
-        const long off = static_cast<long>(ch) * 8;
-        const __m128i bv =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bcol + off));
-        sv0 = _mm_add_epi32(
-            sv0, _mm_madd_epi16(_mm_loadu_si128(
-                                    reinterpret_cast<const __m128i*>(a0 + off)),
-                                bv));
-        sv1 = _mm_add_epi32(
-            sv1, _mm_madd_epi16(_mm_loadu_si128(
-                                    reinterpret_cast<const __m128i*>(a1 + off)),
-                                bv));
-      }
-      acc0row[c] = hsum_epi32(sv0);
-      acc1row[c] = hsum_epi32(sv1);
+#endif  // AUTOGEMM_SIMD_SSE
+
+#if defined(AUTOGEMM_SIMD_SSE) && defined(__GNUC__)
+#define AUTOGEMM_QKERNEL_VNNI 1
+// Compiled for AVX-512 VNNI whatever the build's -m flags; only called once
+// cpuid has confirmed the host runs it.
+#define AUTOGEMM_VNNI_TARGET \
+  __attribute__((target("avx512f,avx512bw,avx512vnni")))
+
+/// One register tile of the VNNI kernel: mr rows by nr columns of C.
+struct VnniTile {
+  int mr, nr;
+};
+
+/// The paper's register-budget pick (Table II, Eqn 2) for `rows` rows of C
+/// with one zmm accumulator per C element — the lanes = 1 case of
+/// codegen::registers_needed: the feasible tile with mr <= rows of highest
+/// intensity, the smaller mr on ties. The zmm file has 32 registers, as
+/// the modeled Arm chips' vector files do.
+constexpr VnniTile vnni_tile(int rows) {
+  VnniTile best{1, 1};
+  for (int mr = 1; mr <= rows && mr <= codegen::kVectorRegisters - 2; ++mr)
+    for (int nr = 1;
+         codegen::registers_needed(mr, nr, 1) <= codegen::kVectorRegisters;
+         ++nr)
+      if (codegen::ai_max(mr, nr) > codegen::ai_max(best.mr, best.nr))
+        best = {mr, nr};
+  return best;
+}
+
+/// The tile for any M the budget can fill; blocks of fewer rows take
+/// vnni_tile(rows % kVnniMr) through the switch in qgemm_block_vnni.
+constexpr int kVnniMr = vnni_tile(codegen::kVectorRegisters).mr;
+static_assert(kVnniMr == 4 && vnni_tile(kVnniMr).nr == 5 &&
+                  vnni_tile(1).nr == 15,
+              "the register budget picks 4x5, and 1x15 for a decode row");
+
+/// out[j] = lane sum of v[j] modulo 2^32 (the overflow contract in
+/// qkernel.hpp) for j < 16: an add tree that transposes as it folds, 45
+/// shuffles and adds for 16 sums where folding one vector at a time costs
+/// 8 apiece. The shuffles are the zero-masked forms with every lane
+/// selected: GCC 12's unmasked ones pass an undefined operand and trip
+/// -Wuninitialized. Kept out of line: inlined into the tile epilogue, it
+/// costs the k loop its register allocation (accumulators copied and
+/// spilled every step).
+AUTOGEMM_VNNI_TARGET __attribute__((noinline)) void hsum16(
+    const __m512i* v, std::uint32_t* out) {
+  constexpr __mmask8 k8 = 0xff;
+  constexpr __mmask16 k16 = 0xffff;
+  // Per 128-bit lane: a[p] holds v[2p] and v[2p+1], each folded 4 -> 2.
+  __m512i a[8], b[4], c[2];
+  for (int p = 0; p < 8; ++p)
+    a[p] = _mm512_add_epi32(
+        _mm512_maskz_unpacklo_epi32(k16, v[2 * p], v[2 * p + 1]),
+        _mm512_maskz_unpackhi_epi32(k16, v[2 * p], v[2 * p + 1]));
+  // Per 128-bit lane L: b[q] = [v[4q] .. v[4q+3]] summed over lane L.
+  for (int q = 0; q < 4; ++q)
+    b[q] = _mm512_add_epi32(
+        _mm512_maskz_unpacklo_epi64(k8, a[2 * q], a[2 * q + 1]),
+        _mm512_maskz_unpackhi_epi64(k8, a[2 * q], a[2 * q + 1]));
+  // Fold the four 128-bit lanes: lane q of the result holds b[q]'s total.
+  for (int t = 0; t < 2; ++t)
+    c[t] = _mm512_add_epi32(
+        _mm512_maskz_shuffle_i32x4(k16, b[2 * t], b[2 * t + 1], 0x88),
+        _mm512_maskz_shuffle_i32x4(k16, b[2 * t], b[2 * t + 1], 0xdd));
+  _mm512_storeu_si512(
+      out, _mm512_add_epi32(_mm512_maskz_shuffle_i32x4(k16, c[0], c[1], 0x88),
+                            _mm512_maskz_shuffle_i32x4(k16, c[0], c[1], 0xdd)));
+}
+
+/// acc(MR x NR) = a(MR rows) . b(NR columns) over the packed k extent, 64
+/// bytes of k per step: A flipped to u8 (a ^ 0x80 == a + 128), one
+/// vpdpbusd per C element, and the offset taken back out through the
+/// column sums. The last step loads only the rest of the 16-padded extent.
+template <int MR, int NR>
+AUTOGEMM_VNNI_TARGET void vnni_tile_kernel(int kc, const std::int8_t* a,
+                                           long lda, const std::int8_t* b,
+                                           long ldb,
+                                           const std::int32_t* col_sums,
+                                           std::int32_t* acc, long ldacc) {
+  const __m512i flip = _mm512_set1_epi8(static_cast<char>(0x80));
+  __m512i s[MR][NR];
+#pragma GCC unroll 32
+  for (int i = 0; i < MR; ++i)
+#pragma GCC unroll 32
+    for (int j = 0; j < NR; ++j) s[i][j] = _mm512_setzero_si512();
+  const long kp = qpacked_ld(kc);
+  for (long k = 0; k < kp; k += 64) {
+    const __mmask64 m =
+        kp - k >= 64 ? ~__mmask64{0} : (__mmask64{1} << (kp - k)) - 1;
+    __m512i av[MR];
+#pragma GCC unroll 32
+    for (int i = 0; i < MR; ++i)
+      av[i] = _mm512_xor_si512(_mm512_maskz_loadu_epi8(m, a + i * lda + k),
+                               flip);
+#pragma GCC unroll 32
+    for (int j = 0; j < NR; ++j) {
+      const __m512i bv = _mm512_maskz_loadu_epi8(m, b + j * ldb + k);
+#pragma GCC unroll 32
+      for (int i = 0; i < MR; ++i)
+        s[i][j] = _mm512_dpbusd_epi32(s[i][j], av[i], bv);
     }
   }
-  for (; r < rows; ++r) {
-    const std::int16_t* arow = a + static_cast<long>(r) * lda;
-    std::int32_t* accrow = acc + static_cast<long>(r) * ldacc;
-    int c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      const std::int16_t* bp[4] = {b + static_cast<long>(c) * ldb,
-                                   b + static_cast<long>(c + 1) * ldb,
-                                   b + static_cast<long>(c + 2) * ldb,
-                                   b + static_cast<long>(c + 3) * ldb};
-      __m128i sv[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
-                       _mm_setzero_si128(), _mm_setzero_si128()};
-      for (int ch = 0; ch < kchunks; ++ch) {
-        const long off = static_cast<long>(ch) * 8;
-        const __m128i av =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(arow + off));
-        for (int j = 0; j < 4; ++j) {
-          const __m128i bv =
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(bp[j] + off));
-          sv[j] = _mm_add_epi32(sv[j], _mm_madd_epi16(av, bv));
-        }
-      }
-      for (int j = 0; j < 4; ++j) accrow[c + j] = hsum_epi32(sv[j]);
-    }
-    for (; c < cols; ++c) {
-      const std::int16_t* bcol = b + static_cast<long>(c) * ldb;
-      __m128i accv = _mm_setzero_si128();
-      for (int ch = 0; ch < kchunks; ++ch) {
-        const long off = static_cast<long>(ch) * 8;
-        accv = _mm_add_epi32(
-            accv,
-            _mm_madd_epi16(
-                _mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(arow + off)),
-                _mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(bcol + off))));
-      }
-      accrow[c] = hsum_epi32(accv);
-    }
+  // Reduce the tile 16 accumulators at a time, zero-padded to whole groups.
+  constexpr int kGroups = (MR * NR + 15) / 16;
+  alignas(64) __m512i flat[kGroups * 16];
+  alignas(64) std::uint32_t sums[kGroups * 16];
+#pragma GCC unroll 64
+  for (int t = 0; t < kGroups * 16; ++t)
+    flat[t] = t < MR * NR ? s[t / NR][t % NR] : _mm512_setzero_si512();
+  for (int g = 0; g < kGroups; ++g) hsum16(flat + 16 * g, sums + 16 * g);
+  for (int i = 0; i < MR; ++i)
+    for (int j = 0; j < NR; ++j)
+      acc[i * ldacc + j] = static_cast<std::int32_t>(
+          sums[i * NR + j] - 128u * static_cast<std::uint32_t>(col_sums[j]));
+}
+
+/// `blocks` row blocks of MR rows across every column, in vnni_tile(MR)
+/// panels and then single columns. Column panels are the outer loop, so
+/// each B panel stays in L1 while the row blocks of A pass over it.
+template <int MR>
+AUTOGEMM_VNNI_TARGET void vnni_rows(int blocks, int cols, int kc,
+                                    const std::int8_t* a, long lda,
+                                    const std::int8_t* b, long ldb,
+                                    const std::int32_t* col_sums,
+                                    std::int32_t* acc, long ldacc) {
+  constexpr int NR = vnni_tile(MR).nr;
+  int c = 0;
+  for (; c + NR <= cols; c += NR)
+    for (int i = 0; i < blocks; ++i)
+      vnni_tile_kernel<MR, NR>(kc, a + i * MR * lda, lda, b + c * ldb, ldb,
+                               col_sums + c, acc + i * MR * ldacc + c, ldacc);
+  for (; c < cols; ++c)
+    for (int i = 0; i < blocks; ++i)
+      vnni_tile_kernel<MR, 1>(kc, a + i * MR * lda, lda, b + c * ldb, ldb,
+                              col_sums + c, acc + i * MR * ldacc + c, ldacc);
+}
+
+AUTOGEMM_VNNI_TARGET void qgemm_block_vnni(int rows, int cols, int kc,
+                                           const std::int8_t* a, long lda,
+                                           const std::int8_t* b, long ldb,
+                                           const std::int32_t* col_sums,
+                                           std::int32_t* acc, long ldacc) {
+  const int blocks = rows / kVnniMr;
+  vnni_rows<kVnniMr>(blocks, cols, kc, a, lda, b, ldb, col_sums, acc, ldacc);
+  const long r = static_cast<long>(blocks) * kVnniMr;
+  a += r * lda;
+  acc += r * ldacc;
+  switch (rows - r) {
+    case 1:
+      return vnni_rows<1>(1, cols, kc, a, lda, b, ldb, col_sums, acc, ldacc);
+    case 2:
+      return vnni_rows<2>(1, cols, kc, a, lda, b, ldb, col_sums, acc, ldacc);
+    case 3:
+      return vnni_rows<3>(1, cols, kc, a, lda, b, ldb, col_sums, acc, ldacc);
   }
 }
 
-#else  // !AUTOGEMM_SIMD_SSE
+#endif  // AUTOGEMM_SIMD_SSE && __GNUC__
 
-bool qgemm_has_simd() { return false; }
+}  // namespace
+
+const char* qtier_name(QTier tier) {
+  switch (tier) {
+    case QTier::kAvx512Vnni:
+      return "avx512-vnni";
+    case QTier::kSse2:
+      return "sse2";
+    case QTier::kPortable:
+      break;
+  }
+  return "portable";
+}
+
+QTier qgemm_tier() {
+  static const QTier tier = [] {
+#if defined(AUTOGEMM_QKERNEL_VNNI)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vnni"))
+      return QTier::kAvx512Vnni;
+#endif
+#if defined(AUTOGEMM_SIMD_SSE)
+    return QTier::kSse2;
+#else
+    return QTier::kPortable;
+#endif
+  }();
+  return tier;
+}
 
 void qgemm_block(int rows, int cols, int kc, const std::int8_t* a, long lda,
-                 const std::int8_t* b, long ldb, std::int32_t* acc,
+                 const std::int8_t* b, long ldb,
+                 const std::int32_t* b_col_sums, std::int32_t* acc,
                  long ldacc) {
-  qgemm_block_portable(rows, cols, kc, a, lda, b, ldb, acc, ldacc);
+  detail::qgemm_block_on(qgemm_tier(), rows, cols, kc, a, lda, b, ldb,
+                         b_col_sums, acc, ldacc);
 }
 
-void qgemm_block_i16(int rows, int cols, int kc, const std::int16_t* a,
-                     long lda, const std::int16_t* b, long ldb,
-                     std::int32_t* acc, long ldacc) {
-  for (int r = 0; r < rows; ++r) {
-    const std::int16_t* arow = a + static_cast<long>(r) * lda;
-    std::int32_t* accrow = acc + static_cast<long>(r) * ldacc;
-    for (int c = 0; c < cols; ++c) {
-      const std::int16_t* bcol = b + static_cast<long>(c) * ldb;
-      std::int32_t sum = 0;
-      for (int k = 0; k < kc; ++k)
-        sum += static_cast<std::int32_t>(arow[k]) *
-               static_cast<std::int32_t>(bcol[k]);
-      accrow[c] = sum;
-    }
-  }
-}
-
+bool detail::qgemm_block_on(QTier tier, int rows, int cols, int kc,
+                            const std::int8_t* a, long lda,
+                            const std::int8_t* b, long ldb,
+                            [[maybe_unused]] const std::int32_t* b_col_sums,
+                            std::int32_t* acc, long ldacc) {
+  assert(lda >= qpacked_ld(kc) && ldb >= qpacked_ld(kc));
+  switch (tier) {
+    case QTier::kAvx512Vnni:
+#if defined(AUTOGEMM_QKERNEL_VNNI)
+      if (qgemm_tier() != QTier::kAvx512Vnni) return false;
+      qgemm_block_vnni(rows, cols, kc, a, lda, b, ldb, b_col_sums, acc,
+                       ldacc);
+      return true;
+#else
+      return false;
 #endif
+    case QTier::kSse2:
+#if defined(AUTOGEMM_SIMD_SSE)
+      qgemm_block_sse2(rows, cols, kc, a, lda, b, ldb, acc, ldacc);
+      return true;
+#else
+      return false;
+#endif
+    case QTier::kPortable:
+      break;
+  }
+  qgemm_block_portable(rows, cols, kc, a, lda, b, ldb, acc, ldacc);
+  return true;
+}
 
 void requantize_block(common::MatrixView c, const std::int32_t* acc,
                       long ldacc, const float* a_scales, const float* b_scales,

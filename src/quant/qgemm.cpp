@@ -49,38 +49,27 @@ StatusOr<std::vector<std::int32_t>> make_acc(int rows, int cols) {
   return acc;
 }
 
-/// Shared epilogue driver over the widened int16 kernel images (the host
-/// fast path — pure pmaddwd inner loop).
-Status qgemm_packed_i16(const std::int16_t* a, long lda,
-                        const float* a_scales, const std::int16_t* b,
-                        long ldb, const float* b_scales, int k,
-                        common::MatrixView c, const QGemmOptions& opts) {
+/// qgemm over packed int8 rows of A and a packed B: each row block
+/// accumulates exactly in int32, then the epilogue requantizes it into C.
+/// force_portable runs the reference kernel (crosscheck — the integers
+/// are the same).
+Status qgemm_packed(const std::int8_t* a, long lda, const float* a_scales,
+                    const QPackedB& qb, common::MatrixView c,
+                    const QGemmOptions& opts) {
   auto acc = make_acc(c.rows, c.cols);
   if (!acc.ok()) return acc.status();
   for (int r0 = 0; r0 < c.rows; r0 += kRowBlock) {
     const int rows = std::min(kRowBlock, c.rows - r0);
-    kernels::qgemm_block_i16(rows, c.cols, k, a + r0 * lda, lda, b, ldb,
-                             acc->data(), c.cols);
+    const std::int8_t* ablk = a + r0 * lda;
+    if (opts.force_portable)
+      kernels::qgemm_block_portable(rows, c.cols, qb.rows(), ablk, lda,
+                                    qb.col(0), qb.col_ld(), acc->data(),
+                                    c.cols);
+    else
+      kernels::qgemm_block(rows, c.cols, qb.rows(), ablk, lda, qb.col(0),
+                           qb.col_ld(), qb.col_sums(), acc->data(), c.cols);
     kernels::requantize_block(c.block(r0, 0, rows, c.cols), acc->data(),
-                              c.cols, a_scales + r0, b_scales, opts.alpha,
-                              opts.beta);
-  }
-  return {};
-}
-
-/// Reference driver over the canonical int8 blocks (force_portable /
-/// crosscheck — bit-identical results, integer accumulation is exact).
-Status qgemm_packed_i8(const std::int8_t* a, long lda, const float* a_scales,
-                       const std::int8_t* b, long ldb, const float* b_scales,
-                       int k, common::MatrixView c, const QGemmOptions& opts) {
-  auto acc = make_acc(c.rows, c.cols);
-  if (!acc.ok()) return acc.status();
-  for (int r0 = 0; r0 < c.rows; r0 += kRowBlock) {
-    const int rows = std::min(kRowBlock, c.rows - r0);
-    kernels::qgemm_block_portable(rows, c.cols, k, a + r0 * lda, lda, b, ldb,
-                                  acc->data(), c.cols);
-    kernels::requantize_block(c.block(r0, 0, rows, c.cols), acc->data(),
-                              c.cols, a_scales + r0, b_scales, opts.alpha,
+                              c.cols, a_scales + r0, qb.scales(), opts.alpha,
                               opts.beta);
   }
   return {};
@@ -111,8 +100,7 @@ Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
   if (a.cols != qb.rows())
     return InvalidArgumentError("qgemm: A cols != packed B rows");
   // Activations quantize per call; only A's rows are packed, so the scratch
-  // is M x padded-K — small next to the cached weight pack. The fast path
-  // quantizes straight into the widened image (one pass over fp32 A).
+  // is M x padded-K — small next to the cached weight pack.
   const long lda = kernels::qpacked_ld(a.cols);
   const std::size_t count =
       static_cast<std::size_t>(a.rows) * static_cast<std::size_t>(lda);
@@ -122,16 +110,9 @@ Status qgemm(common::ConstMatrixView a, const QPackedB& qb,
                    ? per_row_scales(a)
                    : std::vector<float>(static_cast<std::size_t>(a.rows),
                                         per_tensor_scale(a));
-    if (opts.force_portable) {
-      std::vector<std::int8_t> qa(count);
-      kernels::qpack_rows(a, a_scales.data(), qa.data(), lda);
-      return qgemm_packed_i8(qa.data(), lda, a_scales.data(), qb.col(0),
-                             qb.col_ld(), qb.scales(), a.cols, c, opts);
-    }
-    std::vector<std::int16_t> qa(count);
-    kernels::qpack_rows_i16(a, a_scales.data(), qa.data(), lda);
-    return qgemm_packed_i16(qa.data(), lda, a_scales.data(), qb.col16(0),
-                            qb.col_ld(), qb.scales(), a.cols, c, opts);
+    std::vector<std::int8_t> qa(count);
+    kernels::qpack_rows(a, a_scales.data(), qa.data(), lda);
+    return qgemm_packed(qa.data(), lda, a_scales.data(), qb, c, opts);
   } catch (const std::bad_alloc&) {
     return ResourceExhaustedError("qgemm: activation pack allocation failed");
   }
@@ -148,11 +129,7 @@ Status qgemm(const QPackedA& qa, const QPackedB& qb, common::MatrixView c,
     return s;
   if (qa.cols() != qb.rows())
     return InvalidArgumentError("qgemm: packed inner dimensions disagree");
-  if (opts.force_portable)
-    return qgemm_packed_i8(qa.row(0), qa.row_ld(), qa.scales(), qb.col(0),
-                           qb.col_ld(), qb.scales(), qa.cols(), c, opts);
-  return qgemm_packed_i16(qa.row16(0), qa.row_ld(), qa.scales(), qb.col16(0),
-                          qb.col_ld(), qb.scales(), qa.cols(), c, opts);
+  return qgemm_packed(qa.row(0), qa.row_ld(), qa.scales(), qb, c, opts);
 }
 
 Status gemm_bf16(common::ConstMatrixView a, common::ConstMatrixView b,

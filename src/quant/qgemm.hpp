@@ -4,9 +4,9 @@
 //
 // where q() is symmetric int8 quantization (quantize.hpp), the product
 // accumulates exactly in int32 (kernels/qkernel.hpp — no intermediate
-// rounding for K up to ~130,000), and deq() applies the per-channel scale
-// product sa[r] * sb[c] in the fp32 requantization epilogue. beta == 0
-// never reads C, matching gemm_ex semantics.
+// rounding for K up to 133,144 on every kernel tier), and deq() applies
+// the per-channel scale product sa[r] * sb[c] in the fp32 requantization
+// epilogue. beta == 0 never reads C, matching gemm_ex semantics.
 //
 // ## Accuracy contract
 //
@@ -28,13 +28,15 @@
 //
 // ## When int8 wins
 //
-// At compute-bound shapes the widening path retires 8 MACs per pmaddwd
-// against fp32's 4-lane mul+add, and moves 4x fewer operand bytes; the
-// bench gate (bench_quant) requires >= 1.3x over the fp32 tier on the CI
-// host. Memory-bound skinny shapes win mostly on bytes moved. int8 loses
-// when operands are ill-conditioned (heavy cancellation) or K is tiny
-// (quantize cost dominates) — serve keeps fp32 and int8 requests in
-// separate buckets precisely so callers choose per request.
+// At compute-bound shapes the int8 tier retires 64 MACs per vpdpbusd on
+// AVX-512 VNNI hosts (8 per pmaddwd on the SSE2 fallback) against fp32's
+// 4-lane mul+add, and moves 4x fewer operand bytes; the bench gate
+// (bench_quant) requires >= 1.3x over the fp32 tier on the CI host.
+// Memory-bound skinny shapes win mostly on bytes moved: one byte per
+// weight, the only copy a QPackedB keeps. int8 loses when operands are
+// ill-conditioned (heavy cancellation) or K is tiny (quantize cost
+// dominates) — serve keeps fp32 and int8 requests in separate buckets
+// precisely so callers choose per request.
 #pragma once
 
 #include "common/matrix.hpp"
@@ -47,8 +49,9 @@ struct QGemmOptions {
   float alpha = 1.0f;
   float beta = 1.0f;
   Granularity granularity = Granularity::kPerChannel;
-  /// Forces the portable scalar kernel (crosscheck; results are identical
-  /// bit-for-bit because integer accumulation is exact either way).
+  /// Forces the portable scalar kernel in place of the host's tier
+  /// (crosscheck; results are identical bit-for-bit because integer
+  /// accumulation is exact on every tier).
   bool force_portable = false;
 };
 

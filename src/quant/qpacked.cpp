@@ -31,7 +31,6 @@ StatusOr<QPackedA> QPackedA::create(common::ConstMatrixView a, Granularity g) {
     const std::size_t count = static_cast<std::size_t>(a.rows) *
                               static_cast<std::size_t>(out.ld_);
     out.data_.resize(count);
-    out.data16_.resize(count);
     out.scales_ = g == Granularity::kPerChannel
                       ? per_row_scales(a)
                       : std::vector<float>(static_cast<std::size_t>(a.rows),
@@ -40,7 +39,6 @@ StatusOr<QPackedA> QPackedA::create(common::ConstMatrixView a, Granularity g) {
     return ResourceExhaustedError("QPackedA: allocation failed");
   }
   kernels::qpack_rows(a, out.scales_.data(), out.data_.data(), out.ld_);
-  kernels::qwiden_pack(out.data_.data(), out.data16_.data(), a.rows, out.ld_);
   return out;
 }
 
@@ -54,7 +52,7 @@ StatusOr<QPackedB> QPackedB::create(common::ConstMatrixView b, Granularity g) {
     const std::size_t count = static_cast<std::size_t>(b.cols) *
                               static_cast<std::size_t>(out.ld_);
     out.data_.resize(count);
-    out.data16_.resize(count);
+    out.col_sums_.resize(static_cast<std::size_t>(b.cols));
     out.scales_ = g == Granularity::kPerChannel
                       ? per_col_scales(b)
                       : std::vector<float>(static_cast<std::size_t>(b.cols),
@@ -62,8 +60,8 @@ StatusOr<QPackedB> QPackedB::create(common::ConstMatrixView b, Granularity g) {
   } catch (const std::bad_alloc&) {
     return ResourceExhaustedError("QPackedB: allocation failed");
   }
-  kernels::qpack_cols(b, out.scales_.data(), out.data_.data(), out.ld_);
-  kernels::qwiden_pack(out.data_.data(), out.data16_.data(), b.cols, out.ld_);
+  kernels::qpack_cols(b, out.scales_.data(), out.data_.data(), out.ld_,
+                      out.col_sums_.data());
   return out;
 }
 

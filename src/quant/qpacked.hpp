@@ -11,11 +11,10 @@
 // Layout is the dot-product formulation of kernels/qkernel.hpp: QPackedA
 // rows and QPackedB columns are k-contiguous, leading dimension padded to
 // kernels::kQKStep with zeroed tails (dtype-generic packing contract —
-// buffers hold count * ld int8 *elements*). Alongside the canonical int8
-// blocks each pack carries the sign-extended int16 *kernel image* the host
-// SIMD tier consumes (pmaddwd has no in-register widening the way sdot
-// does, so widening at pack time removes it from the inner loop; 1 + 2
-// bytes per element still undercuts fp32's 4).
+// buffers hold count * ld int8 *elements*, one byte per weight and no
+// second image). QPackedB also carries one exact int32 sum per column,
+// computed while it packs: the VNNI kernel multiplies A as u8 (a + 128)
+// and subtracts 128 * colsum to get the signed product back.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +44,6 @@ class QPackedA {
                                    Granularity g = Granularity::kPerChannel);
 
   const std::int8_t* row(int r) const { return data_.data() + r * ld_; }
-  /// Widened int16 kernel image of row r (same values, same ld).
-  const std::int16_t* row16(int r) const { return data16_.data() + r * ld_; }
   long row_ld() const { return ld_; }
   /// Per-row scales, rows() entries (per-tensor replicates one value).
   const float* scales() const { return scales_.data(); }
@@ -56,7 +53,6 @@ class QPackedA {
 
  private:
   std::vector<std::int8_t> data_;
-  std::vector<std::int16_t> data16_;
   std::vector<float> scales_;
   int rows_ = 0, cols_ = 0;
   long ld_ = 0;
@@ -73,19 +69,19 @@ class QPackedB {
                                    Granularity g = Granularity::kPerChannel);
 
   const std::int8_t* col(int c) const { return data_.data() + c * ld_; }
-  /// Widened int16 kernel image of column c (same values, same ld).
-  const std::int16_t* col16(int c) const { return data16_.data() + c * ld_; }
   long col_ld() const { return ld_; }
   /// Per-column scales, cols() entries.
   const float* scales() const { return scales_.data(); }
+  /// Exact sum of each packed column, cols() entries.
+  const std::int32_t* col_sums() const { return col_sums_.data(); }
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
 
  private:
   std::vector<std::int8_t> data_;
-  std::vector<std::int16_t> data16_;
   std::vector<float> scales_;
+  std::vector<std::int32_t> col_sums_;
   int rows_ = 0, cols_ = 0;
   long ld_ = 0;
 };

@@ -1,6 +1,7 @@
 // The quantized tier: symmetric int8 primitives (scales, round trip,
 // granularity ordering), qgemm's accuracy contract against the fp64
-// reference, portable-vs-SIMD bit identity, the Context entry points and
+// reference, bit identity across the int8 kernel tiers, the Context entry
+// points and
 // their packed-cache/invalidate contract, the tuning-records dtype axis
 // (never cross-resolving), serve's (shape, dtype) bucketing, the obs
 // dtype labels, and the transformer block that strings the GEMM
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <future>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "common/rng.hpp"
 #include "core/context.hpp"
 #include "dnn/transformer.hpp"
+#include "kernels/qkernel.hpp"
 #include "obs/metrics.hpp"
 #include "quant/qgemm.hpp"
 #include "quant/qpacked.hpp"
@@ -132,6 +135,102 @@ TEST(QGemm, PortableAndSimdBitIdentical) {
       for (int cc = 0; cc < s.n; ++cc)
         ASSERT_EQ(c_port.at(r, cc), c_simd.at(r, cc))
             << s.m << "x" << s.n << "x" << s.k << " @ " << r << "," << cc;
+  }
+}
+
+// ---------------------------------------------------------------------
+// int8 kernel tiers: every tier the host runs computes the portable
+// kernel's integers
+
+/// `count` int8 rows of k values in the kernels' packed layout (ld padded
+/// to kQKStep, zero tails) with each row's exact sum — what qpack_cols
+/// produces, with the values chosen directly.
+struct QRows {
+  std::vector<std::int8_t> data;
+  std::vector<std::int32_t> sums;
+  long ld = 0;
+};
+
+enum class QFill { kRandom, kPlus127, kMinus127, kAlternating };
+
+QRows make_qrows(int count, int k, QFill fill, std::mt19937& rng) {
+  QRows q;
+  q.ld = kernels::qpacked_ld(k);
+  q.data.assign(static_cast<std::size_t>(count * q.ld), 0);
+  q.sums.assign(static_cast<std::size_t>(count), 0);
+  std::uniform_int_distribution<int> dist(-127, 127);
+  for (int r = 0; r < count; ++r)
+    for (int i = 0; i < k; ++i) {
+      const int v = fill == QFill::kRandom     ? dist(rng)
+                    : fill == QFill::kPlus127  ? 127
+                    : fill == QFill::kMinus127 ? -127
+                                               : (i % 2 ? 127 : -127);
+      q.data[static_cast<std::size_t>(r * q.ld + i)] =
+          static_cast<std::int8_t>(v);
+      q.sums[static_cast<std::size_t>(r)] += v;
+    }
+  return q;
+}
+
+/// Runs every tier on (a, b) and expects each one this host supports to
+/// reproduce the portable kernel's accumulators exactly; true when the
+/// host's own pick (qgemm_tier) was among them.
+bool expect_tiers_match_portable(int m, int n, int k, const QRows& a,
+                                 const QRows& b) {
+  std::vector<std::int32_t> want(static_cast<std::size_t>(m * n));
+  kernels::qgemm_block_portable(m, n, k, a.data.data(), a.ld, b.data.data(),
+                                b.ld, want.data(), n);
+  bool host_tier_ran = false;
+  for (kernels::QTier tier :
+       {kernels::QTier::kAvx512Vnni, kernels::QTier::kSse2,
+        kernels::QTier::kPortable}) {
+    std::vector<std::int32_t> got(want.size(), -1);
+    if (!kernels::detail::qgemm_block_on(tier, m, n, k, a.data.data(), a.ld,
+                                         b.data.data(), b.ld, b.sums.data(),
+                                         got.data(), n))
+      continue;
+    host_tier_ran |= tier == kernels::qgemm_tier();
+    EXPECT_EQ(got, want) << kernels::qtier_name(tier) << " " << m << "x" << n
+                         << "x" << k;
+  }
+  return host_tier_ran;
+}
+
+TEST(QKernelTiers, EveryHostTierBitIdenticalToPortable) {
+  // Rows around the 4-row VNNI block and qgemm's 64-row block; columns
+  // leaving a ragged tail after every tile width (15, 10, 7, 5, 4); K on
+  // both sides of the 16-byte pad and the 64-byte zmm step, up to deep K.
+  // Fills cycle through random and saturated +-127 operands: a = +127 is
+  // the largest u8 after the offset flip, a = -127 the smallest.
+  const QFill fills[] = {QFill::kRandom, QFill::kPlus127, QFill::kMinus127,
+                         QFill::kAlternating};
+  std::mt19937 rng(97);
+  int cases = 0;
+  for (int m : {1, 2, 3, 4, 5, 64, 65})
+    for (int n : {1, 6, 16, 37})
+      for (int k : {1, 17, 63, 64, 65, 131, 768, 16384}) {
+        const QRows a = make_qrows(m, k, fills[cases % 4], rng);
+        const QRows b = make_qrows(n, k, fills[(cases / 4 + cases) % 4], rng);
+        ASSERT_TRUE(expect_tiers_match_portable(m, n, k, a, b));
+        ++cases;
+        if (HasFailure()) return;
+      }
+}
+
+TEST(QKernelTiers, KPastTheU8BoundStaysExact) {
+  // 255 * 127 * 70'000 > 2^31: the VNNI tier's biased u8 * s8 sum leaves
+  // int32 here while the true sum (<= 127 * 127 * 70'000) does not. Every
+  // tier must still match the portable kernel.
+  constexpr int kM = 3, kN = 5, kK = 70'000;
+  std::mt19937 rng(5);
+  for (const auto& [fa, fb] :
+       {std::pair{QFill::kPlus127, QFill::kPlus127},
+        std::pair{QFill::kPlus127, QFill::kMinus127},
+        std::pair{QFill::kAlternating, QFill::kAlternating},
+        std::pair{QFill::kRandom, QFill::kRandom}}) {
+    const QRows a = make_qrows(kM, kK, fa, rng);
+    const QRows b = make_qrows(kN, kK, fb, rng);
+    EXPECT_TRUE(expect_tiers_match_portable(kM, kN, kK, a, b));
   }
 }
 

@@ -219,11 +219,14 @@ TEST(Serve, BulkAgingZeroServesBulkFirst) {
 }
 
 TEST(Serve, FreshBulkWaitsBehindInteractive) {
-  // Default aging: a just-submitted bulk request has not aged, so the
-  // interactive lane goes first even though bulk was queued earlier.
+  // A just-submitted bulk request has not aged, so the interactive lane
+  // goes first even though bulk was queued earlier. The aging window is
+  // far above any scheduling gap between submit and the lane pick, so a
+  // descheduled test thread cannot age the "fresh" request.
   EngineOptions opts;
   opts.start_paused = true;
   opts.max_batch_delay_ns = 0;
+  opts.bulk_aging_ns = 60'000'000'000ull;
   Engine engine(test_ctx(), opts);
   Problem bulk(8, 8, 8, 65), inter(12, 12, 12, 66);
   std::mutex mu;

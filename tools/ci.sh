@@ -237,15 +237,27 @@ sys.exit("metric families with twin series: " + ", ".join(bad) if bad else 0)
       ./build/tools/autogemm crosscheck | tee build/backend_crosscheck.txt
       grep -Eq 'crosscheck: tiles=[0-9]+ checks=[0-9]+ failures=0' \
         build/backend_crosscheck.txt
-      echo "==== [release] quantized crosscheck (portable vs widening vs fp64) ===="
-      # The int8 leg over the same irregular tiles: both quantized kernels
-      # must meet the 1e-2 relative-Frobenius contract against the fp64
-      # reference AND agree with each other bit-for-bit (integer
-      # accumulation is exact on both paths).
-      ./build/tools/autogemm crosscheck --dtype int8 \
-        | tee build/quant_crosscheck.txt
-      grep -Eq 'crosscheck: dtype=i8 tiles=[0-9]+ checks=[0-9]+ failures=0' \
-        build/quant_crosscheck.txt
+      echo "==== [release] quantized crosscheck (portable vs host tier vs fp64) ===="
+      # The int8 leg over the same irregular tiles: the portable kernel and
+      # the host's int8 tier must meet the 1e-2 relative-Frobenius contract
+      # against the fp64 reference AND agree with each other bit-for-bit
+      # (integer accumulation is exact on every tier). kc 17 stays inside
+      # one 64-byte VNNI step; kc 131 crosses two full steps and a tail.
+      for kc in 17 131; do
+        ./build/tools/autogemm crosscheck --dtype int8 --kc "$kc" \
+          | tee "build/quant_crosscheck_kc$kc.txt"
+        grep -Eq 'crosscheck: dtype=i8 tiles=[0-9]+ checks=[0-9]+ failures=0' \
+          "build/quant_crosscheck_kc$kc.txt"
+      done
+      if [[ $(uname -m) == x86_64 ]]; then
+        echo "==== [release] int8 VNNI kernel present in the kernels library ===="
+        # The VNNI tier is compiled through target attributes whatever the
+        # build flags; a build that loses it would silently serve sse2.
+        vnni=$(objdump -d build/src/kernels/libautogemm_kernels.a \
+          | grep -c vpdpbusd || true)
+        echo "vpdpbusd instructions: $vnni"
+        [[ $vnni -gt 0 ]]
+      fi
       echo "==== [release] quantized serve smoke: GPT-2 decode trace ===="
       # The mixed fp32/int8 token-generation trace (prefill burst + skinny-M
       # decode steps) through a 2-shard fleet: every future resolves, fp32
@@ -288,13 +300,15 @@ sys.exit("metric families with twin series: " + ", ".join(bad) if bad else 0)
         | tee build-asan/serve_chaos_sharded.txt
       grep -q 'chaos: seeds=6 violations=0' build-asan/serve_chaos_sharded.txt
       echo "==== [asan] quantized crosscheck ===="
-      # Bit-identity between the portable and SIMD int8 paths must hold
+      # Bit-identity between the portable and host-tier int8 paths must hold
       # with the sanitizers' memory layout too — scale/pack buffers are
       # the quant tier's pointer-heavy surface.
-      ./build-asan/tools/autogemm crosscheck --dtype int8 \
-        | tee build-asan/quant_crosscheck.txt
-      grep -Eq 'crosscheck: dtype=i8 tiles=[0-9]+ checks=[0-9]+ failures=0' \
-        build-asan/quant_crosscheck.txt
+      for kc in 17 131; do
+        ./build-asan/tools/autogemm crosscheck --dtype int8 --kc "$kc" \
+          | tee "build-asan/quant_crosscheck_kc$kc.txt"
+        grep -Eq 'crosscheck: dtype=i8 tiles=[0-9]+ checks=[0-9]+ failures=0' \
+          "build-asan/quant_crosscheck_kc$kc.txt"
+      done
       echo "==== [asan] quantized serve smoke: GPT-2 decode trace ===="
       ./build-asan/tools/autogemm serve-replay \
         tools/traces/gpt2_decode.trace --drain-timeout-us 2000000 \
